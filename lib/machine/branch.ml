@@ -104,7 +104,8 @@ let predict_and_update t ~pc ~taken =
       end;
       if a.owner >= 0 then a.slot_owner.(i) <- a.owner);
   let counter' =
-    if taken then Stdlib.min 3 (counter + 1) else Stdlib.max 0 (counter - 1)
+    if taken then (if counter < 3 then counter + 1 else 3)
+    else if counter > 0 then counter - 1 else 0
   in
   Bytes.set t.counters i (Char.chr counter');
   (match t.kind with

@@ -79,55 +79,57 @@ let attrib_view t =
 let set_of t addr = (addr lsr t.cfg.line_bits) land (t.cfg.sets - 1)
 let tag_of t addr = addr lsr t.cfg.line_bits
 
-let access t addr =
-  t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
-  let set = set_of t addr in
-  let tag = tag_of t addr in
-  let base = set * t.cfg.ways in
-  let hit = ref false in
+(* The miss half of [access], including the recorder: the victim is
+   the first way with the minimum stamp. *)
+let miss t set tag base =
   let victim = ref base in
-  let oldest = ref max_int in
-  (try
-     for w = base to base + t.cfg.ways - 1 do
-       if t.tags.(w) = tag then begin
-         t.stamps.(w) <- t.clock;
-         hit := true;
-         raise Exit
-       end;
-       if t.stamps.(w) < !oldest then begin
-         oldest := t.stamps.(w);
-         victim := w
-       end
-     done
-   with Exit -> ());
+  for w = base + 1 to base + t.cfg.ways - 1 do
+    if t.stamps.(w) < t.stamps.(!victim) then victim := w
+  done;
+  let victim = !victim in
   (match t.attrib with
   | None -> ()
   | Some a ->
       a.a_set_accesses.(set) <- a.a_set_accesses.(set) + 1;
-      if not !hit then begin
-        a.a_set_misses.(set) <- a.a_set_misses.(set) + 1;
-        (* A real eviction (valid victim line) installed by a different
-           function than the evictor is a cross-function conflict. The
-           matrix is read before [tags] is overwritten below. *)
-        let victim_owner = a.line_owner.(!victim) in
-        if
-          t.tags.(!victim) <> -1
-          && victim_owner >= 0
-          && a.owner >= 0
-          && victim_owner <> a.owner
-        then begin
-          let k = (victim_owner * a.a_funcs) + a.owner in
-          a.a_evictions.(k) <- a.a_evictions.(k) + 1
-        end;
-        a.line_owner.(!victim) <- a.owner
-      end);
-  if not !hit then begin
-    t.misses <- t.misses + 1;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock
-  end;
-  !hit
+      a.a_set_misses.(set) <- a.a_set_misses.(set) + 1;
+      (* A real eviction (valid victim line) installed by a different
+         function than the evictor is a cross-function conflict. The
+         matrix is read before [tags] is overwritten below. *)
+      let victim_owner = a.line_owner.(victim) in
+      if
+        t.tags.(victim) <> -1
+        && victim_owner >= 0
+        && a.owner >= 0
+        && victim_owner <> a.owner
+      then begin
+        let k = (victim_owner * a.a_funcs) + a.owner in
+        a.a_evictions.(k) <- a.a_evictions.(k) + 1
+      end;
+      a.line_owner.(victim) <- a.owner);
+  t.misses <- t.misses + 1;
+  t.tags.(victim) <- tag;
+  t.stamps.(victim) <- t.clock;
+  false
+
+let access t addr =
+  t.accesses <- t.accesses + 1;
+  t.clock <- t.clock + 1;
+  let tag = tag_of t addr in
+  let set = tag land (t.cfg.sets - 1) in
+  let base = set * t.cfg.ways in
+  let last = base + t.cfg.ways in
+  let w = ref base in
+  while !w < last && t.tags.(!w) <> tag do
+    incr w
+  done;
+  if !w = last then miss t set tag base
+  else begin
+    t.stamps.(!w) <- t.clock;
+    (match t.attrib with
+    | None -> ()
+    | Some a -> a.a_set_accesses.(set) <- a.a_set_accesses.(set) + 1);
+    true
+  end
 
 let probe t addr =
   let set = set_of t addr in

@@ -83,7 +83,7 @@ let lower_levels t addr =
 (* The I-side walk on a fetch-line change: memo update, ITLB, L1I and
    lower levels, penalty cycles charged. Base cycles and the retired
    instruction are NOT counted here — [fetch] adds them per call, the
-   interpreter's fast path batches them per basic block. The fetch line
+   interpreter batches them per straight-line segment. The fetch line
    is [pc lsr fetch_shift] with the shift taken from the configured
    L1I geometry (a hardcoded [lsr 6] used to mischarge non-default
    instruction caches). *)
@@ -142,7 +142,6 @@ let branch t ~pc ~taken =
   end
 
 let charge t n = t.cycles <- t.cycles + n
-let retire t = t.instructions <- t.instructions + 1
 let cycles t = t.cycles
 let cost t = t.cost
 

@@ -41,7 +41,7 @@ val create :
 val fetch : t -> int -> int
 
 (** Hot-path decomposition of {!fetch}, used by the interpreter to
-    batch base-cycle charging per basic block while keeping every
+    batch base-cycle charging per segment while keeping every
     counter bit-identical to per-instruction {!fetch} calls: the caller
     compares [pc lsr fetch_shift] against [!(fetch_line_memo t)] inline
     and only calls {!fetch_cross} on a line change (I-TLB + L1I + lower
@@ -72,9 +72,6 @@ val branch : t -> pc:int -> taken:bool -> int
 
 (** Extra cycles charged explicitly (e.g. mul/div, runtime costs). *)
 val charge : t -> int -> unit
-
-(** Count one retired instruction (statistics only). *)
-val retire : t -> unit
 
 val cycles : t -> int
 val counters : t -> counters

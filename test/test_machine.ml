@@ -108,6 +108,126 @@ let cache_matches_reference_model =
         stream;
       !ok)
 
+(* The same list-based LRU model over the geometries the machine uses
+   (ways 1/2/4/16, 1-1024 sets, 64 B lines and 4 KiB pages), extended
+   with the conflict recorder: each resident line remembers the owner
+   that installed it, and evicting a valid line installed by another
+   owner counts one (victim, evictor) event. [Cache] and [Tlb] must
+   agree with it access by access, in their counters and in
+   [attrib_view], with the recorder dark or armed and across flushes. *)
+type structure = {
+  s_access : int -> bool;
+  s_accesses : unit -> int;
+  s_misses : unit -> int;
+  s_flush : unit -> unit;
+  s_arm : funcs:int -> unit;
+  s_owner : int -> unit;
+  s_view : unit -> M.Cache.attrib_view option;
+}
+
+let cache_structure cfg =
+  let c = M.Cache.create cfg in
+  {
+    s_access = M.Cache.access c;
+    s_accesses = (fun () -> M.Cache.accesses c);
+    s_misses = (fun () -> M.Cache.misses c);
+    s_flush = (fun () -> M.Cache.flush c);
+    s_arm = M.Cache.arm_attrib c;
+    s_owner = M.Cache.set_attrib_owner c;
+    s_view = (fun () -> M.Cache.attrib_view c);
+  }
+
+let tlb_structure { M.Cache.name; sets; ways; line_bits } =
+  let t = M.Tlb.create { M.Tlb.name; entries = sets * ways; ways; page_bits = line_bits } in
+  {
+    s_access = M.Tlb.access t;
+    s_accesses = (fun () -> M.Tlb.accesses t);
+    s_misses = (fun () -> M.Tlb.misses t);
+    s_flush = (fun () -> M.Tlb.flush t);
+    s_arm = M.Tlb.arm_attrib t;
+    s_owner = M.Tlb.set_attrib_owner t;
+    s_view = (fun () -> M.Tlb.attrib_view t);
+  }
+
+let lru_reference_property ~name make =
+  QCheck.Test.make ~name ~count:150
+    QCheck.(quad (int_bound 3) (int_bound 10) bool (pair bool small_int))
+    (fun (wi, log_sets, pages, (armed, seed)) ->
+      let ways = [| 1; 2; 4; 16 |].(wi) and sets = 1 lsl log_sets in
+      let line_bits = if pages then 12 else 6 in
+      let s = make { M.Cache.name = "ref"; sets; ways; line_bits } in
+      let funcs = 3 in
+      if armed then s.s_arm ~funcs;
+      let lines = Array.make sets [] (* (tag, owner), most recent first *) in
+      let set_accesses = Array.make sets 0 and set_misses = Array.make sets 0 in
+      let evictions = Array.make (funcs * funcs) 0 in
+      let owner = ref (-1) and accesses = ref 0 and misses = ref 0 in
+      let rng = Stz_prng.Xorshift.create ~seed:(Int64.of_int (seed + 1)) in
+      let rand n = Stz_prng.Xorshift.next_int rng n in
+      (* Mostly a few hot sets, each cycling through twice its ways of
+         tags so it both hits and evicts; otherwise any line of a span
+         twice the structure's capacity. *)
+      let hot = Stdlib.min sets 4 in
+      let line () =
+        if rand 4 = 0 then rand (2 * sets * ways)
+        else (rand hot * (sets / hot)) + (rand (2 * ways) * sets)
+      in
+      let ok = ref true in
+      for _ = 1 to 600 do
+        match rand 64 with
+        | 0 ->
+            s.s_flush ();
+            Array.fill lines 0 sets []
+        | 1 | 2 ->
+            owner := rand (funcs + 1) - 1;
+            s.s_owner !owner
+        | _ ->
+            let addr = (line () lsl line_bits) + rand (1 lsl line_bits) in
+            let set = (addr lsr line_bits) land (sets - 1) in
+            let tag = addr lsr line_bits in
+            incr accesses;
+            set_accesses.(set) <- set_accesses.(set) + 1;
+            let hit = List.mem_assoc tag lines.(set) in
+            if hit then
+              lines.(set) <-
+                (tag, List.assoc tag lines.(set)) :: List.remove_assoc tag lines.(set)
+            else begin
+              incr misses;
+              set_misses.(set) <- set_misses.(set) + 1;
+              let kept =
+                if List.length lines.(set) < ways then lines.(set)
+                else begin
+                  let victim_owner = snd (List.nth lines.(set) (ways - 1)) in
+                  if victim_owner >= 0 && !owner >= 0 && victim_owner <> !owner
+                  then begin
+                    let k = (victim_owner * funcs) + !owner in
+                    evictions.(k) <- evictions.(k) + 1
+                  end;
+                  List.filteri (fun i _ -> i < ways - 1) lines.(set)
+                end
+              in
+              lines.(set) <- (tag, !owner) :: kept
+            end;
+            if s.s_access addr <> hit then ok := false
+      done;
+      let view =
+        if armed then
+          Some { M.Cache.funcs; set_accesses; set_misses; evictions }
+        else None
+      in
+      !ok
+      && s.s_accesses () = !accesses
+      && s.s_misses () = !misses
+      && s.s_view () = view)
+
+let cache_matches_attributing_model =
+  lru_reference_property ~name:"cache agrees with attributing LRU model"
+    cache_structure
+
+let tlb_matches_attributing_model =
+  lru_reference_property ~name:"tlb agrees with attributing LRU model"
+    tlb_structure
+
 (* ------------------------------------------------------------------ *)
 (* TLB                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -397,11 +517,13 @@ let () =
           Alcotest.test_case "index bits" `Quick cache_index_bits;
           Alcotest.test_case "bad config" `Quick cache_bad_config;
           QCheck_alcotest.to_alcotest cache_matches_reference_model;
+          QCheck_alcotest.to_alcotest cache_matches_attributing_model;
         ] );
       ( "tlb",
         [
           Alcotest.test_case "page granularity" `Quick tlb_page_granularity;
           Alcotest.test_case "capacity" `Quick tlb_capacity;
+          QCheck_alcotest.to_alcotest tlb_matches_attributing_model;
         ] );
       ( "branch",
         [
