@@ -45,6 +45,17 @@ let read_file path =
 let program_instrs p =
   Array.fold_left (fun acc f -> acc + Ir.func_instr_count f) 0 p.Ir.funcs
 
+(* "name md5" for the ledger and every reproducer in [dir], by name. *)
+let artifact_digests dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         f = Fuzzer.ledger_name
+         || (String.starts_with ~prefix:"repro-" f
+            && Filename.check_suffix f ".szt"))
+  |> List.sort compare
+  |> List.map (fun f ->
+         f ^ " " ^ Digest.to_hex (Digest.file (Filename.concat dir f)))
+
 (* ------------------------------------------------------------------ *)
 (* Sampler                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -328,7 +339,17 @@ let campaign_planted_catches_and_emits_repros () =
       let m, cs = unwrap (Fl.load (Filename.concat dir Fuzzer.ledger_name)) in
       check_string "plant recorded in meta" "shift-clamp" m.Fl.plant;
       let s' = Fuzzer.summarize cs in
-      check_bool "summary matches ledger" true (s = s'))
+      check_bool "summary matches ledger" true (s = s');
+      (* Byte pins: the ledger (Fail records included) and every
+         reproducer must stay identical across refactors of the ledger
+         and the campaign driver. *)
+      Alcotest.(check (list string))
+        "ledger and reproducer bytes pinned"
+        [
+          "fuzz.log c6d9d22e975f36e616bf9a66317046d2";
+          "repro-000017.szt 61295f1a455e6f9b82a09ec571b5d57d";
+        ]
+        (artifact_digests dir))
 
 let () =
   Alcotest.run "fuzz"
