@@ -741,13 +741,6 @@ let summarize cases =
   in
   { s with reproducers = List.rev s.reproducers }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let blank_case index case_seed verdict detail =
   {
     Fuzzlog.index;
@@ -762,16 +755,47 @@ let blank_case index case_seed verdict detail =
     cycles = 0;
   }
 
+let case_seed ~fuzz_seed index = (F.plan ~fuzz_seed ~index).F.case_seed
+
+(* Worker body: returns plain data (the ledger record plus the
+   reproducer bytes) so it marshals over the pool pipe. *)
+let eval_case cfg index =
+  let cs = case_seed ~fuzz_seed:cfg.fuzz_seed index in
+  match
+    evaluate ~rand_runs:cfg.rand_runs ~shrink_budget:cfg.shrink_budget
+      ~fuzz_seed:cfg.fuzz_seed ~index ()
+  with
+  | Clean { result; cycles } ->
+      ({ (blank_case index cs Fuzzlog.Clean "") with Fuzzlog.result; cycles }, None)
+  | Trapped { what } -> (blank_case index cs Fuzzlog.Trapped what, None)
+  | Failed { oracle; detail; result; repro_text; repro_instrs; shrink_steps } ->
+      let name = repro_name index in
+      ( {
+          (blank_case index cs Fuzzlog.Fail detail) with
+          Fuzzlog.oracle;
+          repro = name;
+          repro_instrs;
+          shrink_steps;
+          result;
+        },
+        Some (name, repro_text) )
+
+let report cfg (case : Fuzzlog.case) =
+  (match case.Fuzzlog.verdict with
+  | Fuzzlog.Fail ->
+      cfg.log
+        (Printf.sprintf "FAIL case %d (%s): %s -> %s [%d instrs, %d shrink steps]"
+           case.Fuzzlog.index case.Fuzzlog.oracle case.Fuzzlog.detail
+           case.Fuzzlog.repro case.Fuzzlog.repro_instrs case.Fuzzlog.shrink_steps)
+  | Fuzzlog.Crashed | Fuzzlog.Hung ->
+      cfg.log
+        (Printf.sprintf "censored case %d: %s" case.Fuzzlog.index
+           case.Fuzzlog.detail)
+  | _ -> ());
+  if (case.Fuzzlog.index + 1) mod 100 = 0 || case.Fuzzlog.index + 1 = cfg.count
+  then cfg.log (Printf.sprintf "fuzzed %d/%d" (case.Fuzzlog.index + 1) cfg.count)
+
 let run_campaign cfg =
-  let ( let* ) = Result.bind in
-  let* () =
-    match mkdir_p cfg.out_dir with
-    | () -> Ok ()
-    | exception Unix.Unix_error (e, _, _) ->
-        Error
-          (Printf.sprintf "cannot create %s: %s" cfg.out_dir
-             (Unix.error_message e))
-  in
   (* Armed before the pool forks so workers inherit it; restored on
      every exit path so a library caller never leaks an armed bug into
      later work. *)
@@ -787,122 +811,15 @@ let run_campaign cfg =
       plant = plant_to_string cfg.plant;
     }
   in
-  let path = Filename.concat cfg.out_dir ledger_name in
-  let* lg, existing =
-    if cfg.resume then Stz_store.Fuzzlog.resume ~path meta
-    else Result.map (fun t -> (t, [])) (Stz_store.Fuzzlog.create ~path meta)
+  let censor index ~hung detail =
+    blank_case index
+      (case_seed ~fuzz_seed:cfg.fuzz_seed index)
+      (if hung then Fuzzlog.Hung else Fuzzlog.Crashed)
+      detail
   in
-  let start = List.length existing in
-  let remaining = max 0 (cfg.count - start) in
-  if cfg.resume && start > 0 then
-    cfg.log
-      (Printf.sprintf "resuming: %d/%d cases already in the ledger" start
-         cfg.count);
-  (* Worker body: returns plain data (the ledger record plus the
-     reproducer bytes) so it marshals over the pool pipe. *)
-  let eval index =
-    let plan = F.plan ~fuzz_seed:cfg.fuzz_seed ~index in
-    let cs = plan.F.case_seed in
-    match
-      evaluate ~rand_runs:cfg.rand_runs ~shrink_budget:cfg.shrink_budget
-        ~fuzz_seed:cfg.fuzz_seed ~index ()
-    with
-    | Clean { result; cycles } ->
-        ( {
-            (blank_case index cs Fuzzlog.Clean "") with
-            Fuzzlog.result;
-            cycles;
-          },
-          None )
-    | Trapped { what } -> (blank_case index cs Fuzzlog.Trapped what, None)
-    | Failed { oracle; detail; result; repro_text; repro_instrs; shrink_steps }
-      ->
-        let name = repro_name index in
-        ( {
-            (blank_case index cs Fuzzlog.Fail detail) with
-            Fuzzlog.oracle;
-            repro = name;
-            repro_instrs;
-            shrink_steps;
-            result;
-          },
-          Some (name, repro_text) )
-  in
-  let new_cases = ref [] in
-  if remaining > 0 then begin
-    (* Results arrive in completion order; buffer and flush in index
-       order so the ledger bytes never depend on --jobs, and so a
-       SIGKILL always leaves a contiguous (resumable) prefix. The
-       reproducer file is written before its ledger record: a record
-       therefore never references a missing file. *)
-    let pending = Array.make remaining None in
-    let next = ref 0 in
-    let flush () =
-      while
-        !next < remaining
-        &&
-        match pending.(!next) with
-        | Some _ -> true
-        | None -> false
-      do
-        (match pending.(!next) with
-        | None -> assert false
-        | Some ((case : Fuzzlog.case), repro) ->
-            (match repro with
-            | Some (name, text) ->
-                Stz_store.Artifact.write_with_sum
-                  (Filename.concat cfg.out_dir name)
-                  text
-            | None -> ());
-            Stz_store.Fuzzlog.append lg case;
-            new_cases := case :: !new_cases;
-            (match case.Fuzzlog.verdict with
-            | Fuzzlog.Fail ->
-                cfg.log
-                  (Printf.sprintf
-                     "FAIL case %d (%s): %s -> %s [%d instrs, %d shrink steps]"
-                     case.Fuzzlog.index case.Fuzzlog.oracle case.Fuzzlog.detail
-                     case.Fuzzlog.repro case.Fuzzlog.repro_instrs
-                     case.Fuzzlog.shrink_steps)
-            | Fuzzlog.Crashed | Fuzzlog.Hung ->
-                cfg.log
-                  (Printf.sprintf "censored case %d: %s" case.Fuzzlog.index
-                     case.Fuzzlog.detail)
-            | _ -> ());
-            if
-              (case.Fuzzlog.index + 1) mod 100 = 0
-              || case.Fuzzlog.index + 1 = cfg.count
-            then
-              cfg.log
-                (Printf.sprintf "fuzzed %d/%d" (case.Fuzzlog.index + 1)
-                   cfg.count));
-        incr next
-      done
-    in
-    let on_result i r =
-      let index = start + i in
-      let v =
-        match r with
-        | Parallel.Value v -> v
-        | Parallel.Lost ->
-            let plan = F.plan ~fuzz_seed:cfg.fuzz_seed ~index in
-            ( blank_case index plan.F.case_seed Fuzzlog.Crashed
-                "worker died mid-case",
-              None )
-        | Parallel.Hung ->
-            let plan = F.plan ~fuzz_seed:cfg.fuzz_seed ~index in
-            ( blank_case index plan.F.case_seed Fuzzlog.Hung
-                "watchdog killed a hung worker",
-              None )
-      in
-      pending.(i) <- Some v;
-      flush ()
-    in
-    ignore
-      (Parallel.map ~on_result ?watchdog:cfg.watchdog ~jobs:cfg.jobs
-         ~f:(fun i -> eval (start + i))
-         remaining);
-    flush ()
-  end;
-  Stz_store.Fuzzlog.close lg;
-  Ok (summarize (existing @ List.rev !new_cases))
+  Parallel.ordered_campaign
+    (module Stz_store.Fuzzlog)
+    ~out_dir:cfg.out_dir ~ledger:ledger_name ~resume:cfg.resume ~count:cfg.count
+    ~jobs:cfg.jobs ?watchdog:cfg.watchdog ~log:cfg.log ~censor
+    ~report:(report cfg) meta (eval_case cfg)
+  |> Result.map summarize

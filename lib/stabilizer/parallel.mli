@@ -115,6 +115,38 @@ val pool_dispatcher : dispatcher
     [jobs] argument to [dispatch] is ignored (the grant decides). *)
 val batched : acquire:(int -> int) -> release:(int -> unit) -> dispatcher
 
+(** {1 Index-ordered campaigns}
+
+    [ordered_campaign (module L) ~out_dir ~ledger ~resume ~count ~jobs
+    ?watchdog ~log ~censor ~report meta eval] runs cases [0..count-1]
+    into the case log [out_dir/ledger] — the one driver behind
+    [szc fuzz] and [szc layout sweep] (DESIGN.md, "Case-log engine").
+    It creates [out_dir], then creates the log, or with [resume] reopens
+    it and logs ["resuming: k/N ..."] when [k > 0] cases survive. The
+    remaining indices are evaluated by {!map}: [eval index] returns the
+    case and an optional reproducer [(file name, text)]. Results are
+    flushed in index order: the reproducer is written (with its [.sum]
+    sidecar) into [out_dir] before the record that names it, then the
+    record is appended and [report] sees it. A lost or hung worker's
+    case is [censor index ~hung detail]. Returns every case in the log,
+    surviving and new, in index order. [Error] on a directory, create
+    or resume failure; append IO failures raise. The log is closed on
+    every exit path. *)
+val ordered_campaign :
+  (module Stz_store.Caselog.S with type meta = 'm and type case = 'c) ->
+  out_dir:string ->
+  ledger:string ->
+  resume:bool ->
+  count:int ->
+  jobs:int ->
+  ?watchdog:float ->
+  log:(string -> unit) ->
+  censor:(int -> hung:bool -> string -> 'c) ->
+  report:('c -> unit) ->
+  'm ->
+  (int -> 'c * (string * string) option) ->
+  ('c list, string) Stdlib.result
+
 (** Test hook: force the next [n] [Unix.fork] calls in {!map} to fail
     with [EAGAIN], exercising the spawn retry/backoff/censor path.
     Decremented per injected failure; normally [0]. *)

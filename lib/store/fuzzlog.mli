@@ -1,15 +1,7 @@
 (** The fuzz ledger: the durable record of a [szc fuzz] campaign, a
-    [%szc-artifact] container of kind ["szc-fuzz"].
-
-    Layout: the container header, one [meta] record pinning the
-    campaign's identity (seed, count, oracle knobs, planted bug), then
-    one [case] record per fuzzed index, appended strictly in index
-    order. Appends are one unbuffered [write(2)] each (the oplog
-    discipline), so a SIGKILL at any instant leaves a valid prefix:
-    {!resume} self-heals the torn tail, reports the surviving cases,
-    and continues appending — the finished file is byte-identical to an
-    uninterrupted run's. [szc fsck] verifies and repairs it like any
-    other container. *)
+    {!Caselog} of kind ["szc-fuzz"]: one [meta] record, then one [case]
+    record per fuzzed index. Append, resume and repair semantics are the
+    engine's; see the "Case-log engine" section of DESIGN.md. *)
 
 (** Campaign identity. {!resume} refuses a file whose meta differs —
     resuming under different knobs would silently change what the
@@ -42,39 +34,8 @@ type case = {
   cycles : int;  (** O0 baseline cycles ([Clean]) *)
 }
 
-(** The container kind, ["szc-fuzz"]. *)
-val kind : string
-
 val verdict_to_string : verdict -> string
 val verdict_of_string : string -> verdict option
 
-(** An open ledger, positioned for appending. *)
-type t
-
-(** Start a fresh ledger (truncating any existing file): header + meta
-    record. *)
-val create : path:string -> meta -> (t, string) result
-
-(** Reopen an existing ledger: salvage to the longest valid record
-    prefix, truncate any torn tail, check the stored meta against
-    [meta], and return the surviving cases (a contiguous index prefix
-    [0..k-1]; valid records beyond a gap are dropped and rewritten).
-    A missing or empty file degrades to {!create}. *)
-val resume : path:string -> meta -> (t * case list, string) result
-
-(** Append one case — one [write(2)], crash-atomic at record
-    granularity. Raises [Unix.Unix_error] on real IO failure. *)
-val append : t -> case -> unit
-
-val close : t -> unit
-
-(** Strict read: the whole file must parse and checksum. *)
-val load : string -> (meta * case list, string) result
-
-(** Lenient read: longest valid prefix plus a salvage note ([None] when
-    the file was intact). *)
-val recover : string -> (meta * case list * string option, string) result
-
-(** Rewrite as a clean container (atomic + durable) — [szc fsck
-    --repair]. *)
-val rewrite : string -> meta -> case list -> unit
+(** The log operations; [kind] is ["szc-fuzz"]. *)
+include Caselog.S with type meta := meta and type case := case

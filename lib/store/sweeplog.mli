@@ -1,12 +1,8 @@
 (** The layout-sweep ledger: the durable record of a [szc layout sweep]
-    campaign, a [%szc-artifact] container of kind ["szc-sweep"].
-
-    Same discipline as {!Fuzzlog}: the container header, one [meta]
-    record pinning the sweep's identity, then one [case] record per
-    swept index appended strictly in index order with one unbuffered
-    [write(2)] each — a SIGKILL at any instant leaves a valid prefix
-    that {!resume} self-heals byte-identically. [szc fsck] verifies and
-    repairs it like any other container. *)
+    campaign, a {!Caselog} of kind ["szc-sweep"]: one [meta] record,
+    then one [case] record per swept index. Append, resume and repair
+    semantics are the engine's; see the "Case-log engine" section of
+    DESIGN.md. *)
 
 (** Sweep identity. {!resume} refuses a file whose meta differs. *)
 type meta = {
@@ -49,37 +45,8 @@ type case = {
   detail : string;  (** one-line diagnosis (newlines sanitized) *)
 }
 
-(** The container kind, ["szc-sweep"]. *)
-val kind : string
-
 val verdict_to_string : verdict -> string
 val verdict_of_string : string -> verdict option
 
-(** An open ledger, positioned for appending. *)
-type t
-
-(** Start a fresh ledger (truncating any existing file). *)
-val create : path:string -> meta -> (t, string) result
-
-(** Reopen an existing ledger: salvage to the longest valid prefix,
-    truncate any torn tail, check the stored meta, and return the
-    surviving cases (a contiguous index prefix). A missing or empty
-    file degrades to {!create}. *)
-val resume : path:string -> meta -> (t * case list, string) result
-
-(** Append one case — one [write(2)], crash-atomic at record
-    granularity. Raises [Unix.Unix_error] on real IO failure. *)
-val append : t -> case -> unit
-
-val close : t -> unit
-
-(** Strict read: the whole file must parse and checksum. *)
-val load : string -> (meta * case list, string) result
-
-(** Lenient read: longest valid prefix plus a salvage note ([None] when
-    the file was intact). *)
-val recover : string -> (meta * case list * string option, string) result
-
-(** Rewrite as a clean container (atomic + durable) — [szc fsck
-    --repair]. *)
-val rewrite : string -> meta -> case list -> unit
+(** The log operations; [kind] is ["szc-sweep"]. *)
+include Caselog.S with type meta := meta and type case := case
