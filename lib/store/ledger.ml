@@ -18,74 +18,49 @@ type entry = {
 let kind = "szc-ledger"
 let record_tag = "campaign"
 
-(* Line-oriented payload: one "key value" pair per line, fixed order.
+(* Line-oriented payload in {!Caselog}'s "key value" form, fixed order.
    Floats are written as hexadecimal literals so they round-trip
    bit-exactly — the regression decision must be recomputable from the
    ledger alone, on any machine, to the last bit. *)
 
-let float_str x = Printf.sprintf "%h" x
-
 let entry_to_payload e =
-  String.concat "\n"
+  let hex = Caselog.hex in
+  Caselog.payload
     [
-      "label " ^ e.label;
-      "fingerprint " ^ e.fingerprint;
-      "base_seed " ^ Int64.to_string e.base_seed;
-      "runs " ^ string_of_int e.runs;
-      "completed " ^ string_of_int e.completed;
-      "censored " ^ string_of_int e.censored;
-      "mean " ^ float_str e.mean;
-      "sd " ^ float_str e.sd;
-      "min " ^ float_str e.min;
-      "max " ^ float_str e.max;
-      "skewness " ^ float_str e.skewness;
-      "kurtosis " ^ float_str e.kurtosis;
-      "detectable_effect " ^ float_str e.detectable_effect;
-      "verdict " ^ e.verdict;
+      ("label", e.label);
+      ("fingerprint", e.fingerprint);
+      ("base_seed", Int64.to_string e.base_seed);
+      ("runs", string_of_int e.runs);
+      ("completed", string_of_int e.completed);
+      ("censored", string_of_int e.censored);
+      ("mean", hex e.mean);
+      ("sd", hex e.sd);
+      ("min", hex e.min);
+      ("max", hex e.max);
+      ("skewness", hex e.skewness);
+      ("kurtosis", hex e.kurtosis);
+      ("detectable_effect", hex e.detectable_effect);
+      ("verdict", e.verdict);
     ]
 
 let entry_of_payload s =
-  let fields = Hashtbl.create 16 in
-  List.iter
-    (fun line ->
-      if line <> "" then
-        match String.index_opt line ' ' with
-        | Some i ->
-            Hashtbl.replace fields
-              (String.sub line 0 i)
-              (String.sub line (i + 1) (String.length line - i - 1))
-        | None -> Hashtbl.replace fields line "")
-    (String.split_on_char '\n' s);
+  let open Caselog in
   let ( let* ) = Result.bind in
-  let str key =
-    match Hashtbl.find_opt fields key with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "ledger: missing field %S" key)
-  in
-  let num key conv =
-    let* v = str key in
-    match conv v with
-    | Some x -> Ok x
-    | None | (exception Failure _) ->
-        Error (Printf.sprintf "ledger: bad field %S" key)
-  in
-  let int key = num key int_of_string_opt in
-  let i64 key = num key Int64.of_string_opt in
-  let flt key = num key float_of_string_opt in
-  let* label = str "label" in
-  let* fingerprint = str "fingerprint" in
-  let* base_seed = i64 "base_seed" in
-  let* runs = int "runs" in
-  let* completed = int "completed" in
-  let* censored = int "censored" in
-  let* mean = flt "mean" in
-  let* sd = flt "sd" in
-  let* min = flt "min" in
-  let* max = flt "max" in
-  let* skewness = flt "skewness" in
-  let* kurtosis = flt "kurtosis" in
-  let* detectable_effect = flt "detectable_effect" in
-  let* verdict = str "verdict" in
+  let f = parse_fields "ledger" s in
+  let* label = str f "label" in
+  let* fingerprint = str f "fingerprint" in
+  let* base_seed = int64 f "base_seed" in
+  let* runs = int f "runs" in
+  let* completed = int f "completed" in
+  let* censored = int f "censored" in
+  let* mean = float f "mean" in
+  let* sd = float f "sd" in
+  let* min = float f "min" in
+  let* max = float f "max" in
+  let* skewness = float f "skewness" in
+  let* kurtosis = float f "kurtosis" in
+  let* detectable_effect = float f "detectable_effect" in
+  let* verdict = str f "verdict" in
   Ok
     {
       label;
@@ -105,17 +80,8 @@ let entry_of_payload s =
     }
 
 let entries_of_records ~lenient records =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (tag, payload) :: rest when tag = record_tag -> (
-        match entry_of_payload payload with
-        | Ok e -> go (e :: acc) rest
-        | Error e -> if lenient then Ok (List.rev acc) else Error e)
-    | (tag, _) :: rest ->
-        if lenient then go acc rest
-        else Error (Printf.sprintf "ledger: unknown record tag %S" tag)
-  in
-  go [] records
+  Caselog.decode_records ~name:"ledger" ~tag:record_tag ~lenient
+    entry_of_payload records
 
 let write path entries =
   Artifact.write_records path ~kind
