@@ -731,84 +731,41 @@ let check_trace_cmd =
 (* ------------------------------------------------------------------ *)
 
 let fsck_cmd =
+  let module Dr = Stz_store.Durable in
   let count n (one, many) =
     Printf.sprintf "%d %s" n (if n = 1 then one else many)
   in
-  (* One checker per container kind: [noun] names an intact file and
-     [units] counts what it holds. [load] returns that count (the
-     checkpoint's intact line carries none); [recover] returns the
-     salvage note and a thunk that rewrites the salvaged prefix and
-     returns how much it kept. *)
-  let n = List.length in
-  let checkpoint =
-    let module Sv = Stabilizer.Supervisor in
-    ( "checkpoint container",
-      ("record", "records"),
-      (fun p -> Result.map (fun _ -> None) (Sv.load p)),
-      fun p ->
-        Result.map
-          (fun (c, note) -> (note, fun () -> Sv.save p c; n c.Sv.records))
-          (Sv.recover p) )
-  in
-  let caselog (type m c) noun
-      (module C : Stz_store.Caselog.S with type meta = m and type case = c) =
-    ( C.kind,
-      ( noun,
-        ("case", "cases"),
-        (fun p -> Result.map (fun (_, cs) -> Some (n cs)) (C.load p)),
-        fun p ->
-          Result.map
-            (fun (m, cs, note) -> (note, fun () -> C.rewrite p m cs; n cs))
-            (C.recover p) ) )
-  in
+  (* Every container kind fsck knows; anything else is left alone. *)
   let containers =
-    let module L = Stz_store.Ledger in
-    let module O = Stz_telemetry.Oplog in
     [
-      ( L.kind,
-        ( "ledger",
-          ("entry", "entries"),
-          (fun p -> Result.map (fun es -> Some (n es)) (L.load p)),
-          fun p ->
-            Result.map
-              (fun (es, note) -> (note, fun () -> L.write p es; n es))
-              (L.recover p) ) );
-      ( O.kind,
-        ( "oplog",
-          ("record", "records"),
-          (fun p -> Result.map (fun rs -> Some (n rs)) (O.load p)),
-          fun p ->
-            Result.map
-              (fun (rs, note) -> (note, fun () -> O.rewrite p rs; n rs))
-              (O.recover p) ) );
-      caselog "fuzz ledger" (module Stz_store.Fuzzlog);
-      caselog "sweep ledger" (module Stz_store.Sweeplog);
+      Dr.Any Stz_store.Ledger.container;
+      Dr.Any Stz_telemetry.Oplog.container;
+      Dr.Any Stz_store.Fuzzlog.container;
+      Dr.Any Stz_store.Sweeplog.container;
+      Dr.Any Stabilizer.Supervisor.checkpoint;
+      Dr.Any Stz_daemon.Spool.manifest;
+      Dr.Any Stz_daemon.Spool.result;
     ]
   in
-  let fsck_container ~repair path (noun, units, load, recover) =
-    match load path with
-    | Ok items ->
+  let unrecoverable ~repair path e =
+    Printf.printf "%s: unrecoverable — %s\n" path e;
+    if repair then Printf.printf "%s: moved aside to %s\n" path (Dr.aside path);
+    3
+  in
+  let fsck_container (type a) ~repair path (c : a Dr.t) =
+    match (if repair then Dr.repair else Dr.check) c path with
+    | Dr.Intact v ->
         Printf.printf "%s: ok (%s)\n" path
-          (match items with
-          | Some k -> noun ^ ", " ^ count k units
-          | None -> noun);
+          (if c.Dr.counted then c.Dr.noun ^ ", " ^ count (c.Dr.count v) c.Dr.units
+           else c.Dr.noun);
         0
-    | Error _ -> (
-        match recover path with
-        | Ok (note, rewrite) ->
-            Printf.printf "%s: salvageable — %s\n" path
-              (Option.value note ~default:"prefix intact");
-            if repair then
-              Printf.printf "%s: repaired (rewritten from the salvaged prefix, %s)\n"
-                path (count (rewrite ()) units);
-            2
-        | Error e ->
-            Printf.printf "%s: unrecoverable — %s\n" path e;
-            if repair then (
-              let aside = path ^ ".corrupt" in
-              Sys.rename path aside;
-              Printf.printf "%s: moved aside to %s\n" path aside);
-            3)
+    | Dr.Salvaged (v, note) ->
+        Printf.printf "%s: salvageable — %s\n" path note;
+        if repair then
+          Printf.printf "%s: repaired (rewritten from the salvaged prefix, %s)\n"
+            path (count (c.Dr.count v) c.Dr.units);
+        2
+    | Dr.Unrecoverable e -> unrecoverable ~repair path e
   in
   let fsck_one ~repair path =
     if not (Sys.file_exists path) then (
@@ -820,39 +777,31 @@ let fsck_cmd =
         | Ok text -> text
         | Error e -> raise (Sys_error e)
       in
-      if Stz_store.Artifact.is_container contents then
-        (* Containers carry their kind in the header; dispatch on it so
-           a ledger is checked as a ledger, not misdiagnosed as a broken
-           checkpoint. A header too damaged to parse strictly still
-           yields its kind via salvage. *)
-        let container_kind =
-          match Stz_store.Artifact.read_records path with
-          | Ok (k, _) -> Some k
-          | Error _ ->
-              (Stz_store.Artifact.salvage_string contents).Stz_store.Artifact.kind
-        in
-        fsck_container ~repair path
-          (match Option.bind container_kind (fun k -> List.assoc_opt k containers) with
-          | Some checker -> checker
-          | None -> checkpoint)
-      else
-        match Stz_store.Artifact.verify_sum path with
-        | Error e ->
-            Printf.printf "%s: checksum mismatch — %s\n" path e;
-            2
-        | Ok true ->
-            Printf.printf "%s: ok (checksum verified)\n" path;
-            0
-        | Ok false -> (
-            (* No sidecar: the only other artifact we can vouch for is a
-               legacy JSON checkpoint. *)
-            match Stabilizer.Supervisor.load path with
-            | Ok _ ->
-                Printf.printf "%s: ok (legacy JSON checkpoint)\n" path;
-                0
-            | Error _ ->
-                Printf.printf "%s: unknown artifact (no .sum sidecar)\n" path;
-                1)
+      (* Containers carry their kind in the header; dispatch on it so a
+         ledger is checked as a ledger, not misdiagnosed as a broken
+         checkpoint. A container whose header is damaged has no kind to
+         dispatch on and nothing to salvage. *)
+      match Dr.header_kind contents with
+      | Error e ->
+          if repair then Dr.move_aside path;
+          unrecoverable ~repair path e
+      | Ok (Some k) -> (
+          match List.find_opt (fun (Dr.Any c) -> c.Dr.kind = k) containers with
+          | Some (Dr.Any c) -> fsck_container ~repair path c
+          | None ->
+              Printf.printf "%s: unknown container kind %S\n" path k;
+              1)
+      | Ok None -> (
+          match Stz_store.Artifact.verify_sum path with
+          | Error e ->
+              Printf.printf "%s: checksum mismatch — %s\n" path e;
+              2
+          | Ok true ->
+              Printf.printf "%s: ok (checksum verified)\n" path;
+              0
+          | Ok false ->
+              Printf.printf "%s: unknown artifact (no .sum sidecar)\n" path;
+              1)
   in
   let run repair paths =
     match
@@ -867,9 +816,9 @@ let fsck_cmd =
         (const run
         $ Arg.(value & flag & info [ "repair" ]
               ~doc:
-                "Rewrite a salvageable checkpoint or ledger from its \
-                 longest valid record prefix; move an unrecoverable file \
-                 aside to FILE.corrupt.")
+                "Rewrite a salvageable record container from its \
+                 longest valid record prefix; move an unrecoverable one \
+                 of a known kind aside to FILE.corrupt.")
         $ Arg.(
             non_empty
             & pos_all string []
@@ -882,10 +831,12 @@ let fsck_cmd =
     (Cmd.info "fsck"
        ~doc:
          "Verify artifact integrity: record containers (checkpoints, \
-          history ledgers and daemon oplogs, told apart by their header \
-          kind) are fully parsed (header, per-record CRC-32, record \
-          structure); other artifacts are verified against their .sum \
-          sidecar. Exit 0 all ok, 1 unknown artifact or IO error, 2 \
+          history ledgers, fuzz and sweep ledgers, daemon oplogs, spool \
+          manifests and results, told apart by their header kind) are \
+          fully parsed (header, per-record CRC-32, record structure); \
+          other artifacts are verified against their .sum sidecar. Exit \
+          0 all ok, 1 unknown artifact, unknown container kind or IO \
+          error, 2 \
           salvageable corruption (or checksum mismatch), 3 \
           unrecoverable. The overall exit code is the worst per-file \
           code.")
@@ -1361,7 +1312,7 @@ let selftest_cmd =
     end;
     (* Checkpoint round-trip + resume identity under the heavy profile. *)
     if within_budget () then begin
-      let path = Filename.temp_file "szc-selftest" ".json" in
+      let path = Filename.temp_file "szc-selftest" ".ck" in
       let c1 = campaign ~checkpoint:path F.heavy in
       (match S.Supervisor.load path with
       | Error e -> check ("checkpoint load: " ^ e) false
@@ -1381,7 +1332,8 @@ let selftest_cmd =
       check
         (Printf.sprintf "--jobs %d campaign is bit-identical to serial" jobs)
         (S.Report.csv_of_campaign serial = S.Report.csv_of_campaign par
-        && S.Supervisor.to_json serial = S.Supervisor.to_json par)
+        && Stz_store.Durable.bytes S.Supervisor.checkpoint serial
+           = Stz_store.Durable.bytes S.Supervisor.checkpoint par)
     end;
     match !failures with
     | [] ->

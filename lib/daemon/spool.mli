@@ -57,6 +57,10 @@ val pid_path : string -> string
 
 (** {1 Manifest and result records} *)
 
+(** The manifest as a {!Stz_store.Durable} container (kind
+    ["szc-manifest"]): one ["spec"] record holding {!spec_to_json}. *)
+val manifest : spec Stz_store.Durable.t
+
 val write_manifest : dir:string -> spec -> unit
 val read_manifest : dir:string -> (spec, string) result
 
@@ -66,6 +70,11 @@ val read_manifest : dir:string -> (spec, string) result
 type outcome = Finished of int | Cancelled
 
 val outcome_state : outcome -> string
+
+(** The result as a {!Stz_store.Durable} container (kind
+    ["szc-result"]): one ["result"] record of [key value] lines. *)
+val result : outcome Stz_store.Durable.t
+
 val write_result : dir:string -> outcome -> unit
 val read_result : dir:string -> (outcome, string) result
 
@@ -99,9 +108,10 @@ val scan : spool:string -> entry list * (string * string) list
 
 (** Repair one campaign directory after a crash, [szc fsck --repair]
     style: promote a rename-dropped [*.tmp] over a missing target,
-    rewrite a salvageable checkpoint or ledger from its longest valid
-    record prefix, drop a checkpoint too corrupt to salvage (the
-    campaign restarts from zero rather than dying), and delete
+    [Durable.repair] the checkpoint and the ledger (rewrite a salvageable
+    one from its longest valid record prefix; move one too corrupt to
+    salvage aside, so the campaign restarts from zero rather than
+    dying), and delete
     checksum-mismatched CSV/trace payloads (they are rewritten at
     completion). Returns a human-readable note per action taken. *)
 val repair : dir:string -> string list

@@ -115,8 +115,9 @@ exception Mismatch of string
 (** [run_campaign ~config ~base_seed ~runs ~args p] executes the
     campaign. [profile] injects faults via {!Stz_faults.Injector}
     (default {!Stz_faults.Fault.none}). With [checkpoint], progress is
-    written to that JSON file as runs finish; with [resume] also set,
-    an existing file's finished runs are loaded and skipped, and
+    written to that file (a {!checkpoint} container) as runs finish;
+    with [resume] also set, an existing file's finished runs are loaded
+    and skipped, and
     calibrated budgets, the reference value and the quarantine list are
     restored so the continuation behaves exactly as the uninterrupted
     campaign would. [on_record] observes each finished run (useful for
@@ -196,29 +197,31 @@ val summarize : campaign -> summary
 val verdict :
   ?alpha:float -> min_n:int -> campaign -> campaign -> Experiment.gated
 
-(** JSON round-trip (the legacy v1/v2 checkpoint file format; current
-    checkpoints are {!Stz_store.Artifact} containers — see {!save}). *)
-val to_json : campaign -> Json.t
+(** The checkpoint as a {!Stz_store.Durable} container (kind
+    ["szc-checkpoint"], version 3): a meta record (identity and the
+    reference decision), one ["run"] record per finished run in run
+    order, then the supervisor state (quarantine, budgets). Each
+    payload is one JSON object. Lenient decoding re-derives a lost
+    state record from the run records — bit-exactly, so a resume from
+    the salvaged prefix matches an uninterrupted campaign — and its
+    salvage note says so. *)
+val checkpoint : campaign Stz_store.Durable.t
 
-val of_json : Json.t -> (campaign, string) result
-
-(** Checkpoint IO. [save] writes a version-3 checksummed
-    {!Stz_store.Artifact} container, durably: temp file, fsync of file
-    and parent directory, then rename — a crash at any point leaves
-    either the old checkpoint or the new one, never a torn file. *)
+(** Checkpoint IO. [save] ([Durable.write checkpoint]) writes durably:
+    temp file, fsync of file and parent directory, then rename — a
+    crash at any point leaves either the old checkpoint or the new
+    one, never a torn file. *)
 val save : string -> campaign -> unit
 
-(** Strict load: a container must parse completely (header, every
-    record checksum, meta and state present); a file that does not
-    start with the artifact magic is parsed as a legacy v1/v2 JSON
-    checkpoint. Any corruption is an [Error]. *)
+(** [Durable.load checkpoint]: the container must parse completely
+    (header, every record checksum, meta and state present). Any
+    corruption, and any file that is not a version-3 container, is an
+    [Error]. *)
 val load : string -> (campaign, string) result
 
-(** Lenient load: salvages the longest valid record prefix of a
-    corrupted container. A missing state record (quarantine, budgets)
-    is reconstructed from the surviving run records — bit-exactly, so a
-    resume from the salvaged prefix matches an uninterrupted campaign.
-    Returns the campaign plus [Some note] describing what was salvaged,
-    or [None] when the file was intact. [Error] only when not even the
-    meta record survives (or the file is missing/unreadable). *)
+(** [Durable.recover checkpoint]: salvages the longest valid record
+    prefix of a corrupted container. Returns the campaign plus the
+    salvage note, [None] when the file was intact. [Error] when not
+    even the meta record survives (or the file is missing, unreadable
+    or not a checkpoint container). *)
 val recover : string -> (campaign * string option, string) result

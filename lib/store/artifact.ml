@@ -122,9 +122,6 @@ let container ~kind records =
   List.iter (fun r -> Buffer.add_string buf (record_string r)) records;
   Buffer.contents buf
 
-let write_records path ~kind records =
-  write_file path (container ~kind records)
-
 type salvage = {
   kind : string option;
   records : (string * string) list;
@@ -208,15 +205,6 @@ let salvage_string text =
           in
           records body []
       | _ -> fail ~at:0 "not an artifact container (bad header)")
-
-let salvage_file path = Result.map salvage_string (read_file path)
-
-let read_records path =
-  match salvage_file path with
-  | Error e -> Error e
-  | Ok { error = Some e; _ } -> Error e
-  | Ok { kind = None; _ } -> Error "not an artifact container"
-  | Ok { kind = Some kind; records; _ } -> Ok (kind, records)
 
 (* ------------------------------------------------------------------ *)
 (* Summed payloads                                                     *)

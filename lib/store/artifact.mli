@@ -4,10 +4,12 @@
     Two shapes are supported:
 
     - {b Record containers} — a magic header line plus a sequence of
-      tagged, length-prefixed, CRC-32-checksummed records. Used for the
-      supervisor's checkpoints: a torn or bit-flipped file is recovered
-      to its longest valid record prefix instead of being lost
-      ({!salvage_string}).
+      tagged, length-prefixed, CRC-32-checksummed records: a torn or
+      bit-flipped file is recovered to its longest valid record prefix
+      instead of being lost ({!salvage_string}). Every kind the harness
+      keeps (checkpoint, history ledger, case logs, oplog, spool
+      manifest and result) is loaded, salvaged and repaired through
+      {!Durable}, the only caller of {!salvage_string}.
     - {b Summed payloads} — the payload bytes verbatim (so CSVs stay
       spreadsheet-loadable and traces stay Chrome-loadable) plus a
       [.sum] sidecar carrying the payload's CRC-32 and length
@@ -76,10 +78,7 @@ val read_file : string -> (string, string) result
 
 (** {1 Record containers} *)
 
-(** The container magic ("%szc-artifact 1"); a file starting with it is
-    treated as a container by {!is_container} and [szc fsck]. *)
-val magic : string
-
+(** Whether [text] starts with the container magic ["%szc-artifact 1"]. *)
 val is_container : string -> bool
 
 (** Serialize records to container bytes: a header line
@@ -94,14 +93,11 @@ val container : kind:string -> (string * string) list -> string
 val header_line : kind:string -> string
 
 (** One framed record, exactly as {!container} emits it. Incremental
-    writers (the daemon's oplog) append these to a file that started
-    with {!header_line}; the result is byte-compatible with
-    {!salvage_string}, so a torn tail recovers to the longest valid
-    record prefix. *)
+    writers (the case logs, the daemon's oplog) append these to a file
+    that started with {!header_line}; the result is byte-compatible
+    with {!salvage_string}, so a torn tail recovers to the longest
+    valid record prefix. *)
 val record_string : string * string -> string
-
-(** {!container} composed with {!write_file}. *)
-val write_records : string -> kind:string -> (string * string) list -> unit
 
 (** Result of lenient container parsing: the longest prefix of records
     whose framing and CRC both check out. *)
@@ -120,13 +116,6 @@ type salvage = {
 
 (** Never raises: any byte string produces a salvage report. *)
 val salvage_string : string -> salvage
-
-(** {!salvage_string} over a file; [Error] only on IO failure. *)
-val salvage_file : string -> (salvage, string) result
-
-(** Strict read: [Ok (kind, records)] only when the whole container
-    parses and every record's CRC matches. *)
-val read_records : string -> (string * (string * string) list, string) result
 
 (** {1 Summed payloads} *)
 

@@ -51,6 +51,7 @@ module type CODEC = sig
 
   val kind : string
   val name : string
+  val noun : string
   val meta_fields : meta -> (string * string) list
   val meta_of_fields : fields -> (meta, string) result
   val case_fields : case -> (string * string) list
@@ -62,7 +63,7 @@ module type S = sig
   type meta
   type case
 
-  val kind : string
+  val container : (meta * case list) Durable.t
 
   type t
 
@@ -71,8 +72,6 @@ module type S = sig
   val append : t -> case -> unit
   val close : t -> unit
   val load : string -> (meta * case list, string) result
-  val recover : string -> (meta * case list * string option, string) result
-  val rewrite : string -> meta -> case list -> unit
 end
 
 let decode_records ~name ~tag ~lenient decode records =
@@ -95,14 +94,7 @@ module Make (C : CODEC) = struct
   type meta = C.meta
   type case = C.case
 
-  let kind = C.kind
-  let meta_payload m = payload (C.meta_fields m)
-  let case_payload c = payload (C.case_fields c)
-  let case_record c = A.record_string (case_tag, case_payload c)
-
-  (* What a fresh log holds: the header and the meta record. *)
-  let prefix meta =
-    A.header_line ~kind ^ A.record_string (meta_tag, meta_payload meta)
+  let case_record c = (case_tag, payload (C.case_fields c))
 
   (* Record-list decode: meta first, then cases. [lenient] (salvage may
      have kept a record whose bytes checksum but whose payload predates a
@@ -119,7 +111,20 @@ module Make (C : CODEC) = struct
             (fun p -> C.case_of_fields (parse_fields C.name p))
             rest
         in
-        Ok (meta, cs)
+        Ok ((meta, cs), None)
+
+  let container =
+    {
+      Durable.kind = C.kind;
+      noun = C.noun;
+      units = ("case", "cases");
+      count = (fun (_, cs) -> List.length cs);
+      counted = true;
+      encode =
+        (fun (meta, cs) ->
+          (meta_tag, payload (C.meta_fields meta)) :: List.map case_record cs);
+      decode;
+    }
 
   (* Only a contiguous index prefix 0..k-1 is trustworthy for resume:
      anything after a gap was appended out of order (impossible in a
@@ -149,7 +154,7 @@ module Make (C : CODEC) = struct
         A.write_exact fd bytes;
         { fd; closed = false })
 
-  let create ~path meta = open_with path (prefix meta)
+  let create ~path meta = open_with path (Durable.bytes container (meta, []))
 
   (* Meta identity is equality of the encoded fields, so a hex-float
      knob compares bit-exactly. *)
@@ -166,30 +171,28 @@ module Make (C : CODEC) = struct
     if (not (Sys.file_exists path)) || (Unix.stat path).Unix.st_size = 0 then
       Result.map (fun t -> (t, [])) (create ~path meta)
     else
-      let* text = A.read_file path in
-      let s = A.salvage_string text in
-      if s.A.kind <> Some kind then
-        Error
-          (Printf.sprintf "%s %s: not a %s container%s" C.name path kind
-             (match s.A.error with Some e -> " (" ^ e ^ ")" | None -> ""))
-      else
-        let* stored, cases = decode ~lenient:true s.A.records in
-        match meta_diffs stored meta with
-        | _ :: _ as diffs ->
-            Error
-              (Printf.sprintf "%s %s: campaign mismatch (%s)" C.name path
-                 (String.concat "; " diffs))
-        | [] ->
-            (* Rebuild the exact byte prefix an uninterrupted run would
-               have at this point — covers torn tails, undecodable-but-
-               checksummed records, and out-of-order survivors alike. *)
-            let cases = contiguous_prefix cases in
-            let good = prefix meta ^ String.concat "" (List.map case_record cases) in
-            Result.map (fun t -> (t, cases)) (open_with path good)
+      let* (stored, cases), _ =
+        Result.map_error
+          (Printf.sprintf "%s %s: %s" C.name path)
+          (Durable.recover container path)
+      in
+      match meta_diffs stored meta with
+      | _ :: _ as diffs ->
+          Error
+            (Printf.sprintf "%s %s: campaign mismatch (%s)" C.name path
+               (String.concat "; " diffs))
+      | [] ->
+          (* Rebuild the exact byte prefix an uninterrupted run would
+             have at this point — covers torn tails, undecodable-but-
+             checksummed records, and out-of-order survivors alike. *)
+          let cases = contiguous_prefix cases in
+          Result.map
+            (fun t -> (t, cases))
+            (open_with path (Durable.bytes container (meta, cases)))
 
   let append t c =
     if t.closed then invalid_arg (String.capitalize_ascii C.name ^ ".append: closed");
-    A.write_exact t.fd (case_record c)
+    A.write_exact t.fd (A.record_string (case_record c))
 
   let close t =
     if not t.closed then begin
@@ -197,35 +200,5 @@ module Make (C : CODEC) = struct
       try Unix.close t.fd with Unix.Unix_error _ -> ()
     end
 
-  let load path =
-    let* k, records = A.read_records path in
-    if k <> kind then Error (C.name ^ ": unexpected artifact kind")
-    else decode ~lenient:false records
-
-  let recover path =
-    let* text = A.read_file path in
-    if not (A.is_container text) then Error (C.name ^ ": not a container")
-    else
-      let s = A.salvage_string text in
-      if s.A.kind <> Some kind then
-        Error
-          (match s.A.error with
-          | Some e -> e
-          | None -> C.name ^ ": unexpected artifact kind")
-      else
-        let* meta, cases = decode ~lenient:true s.A.records in
-        let note =
-          match s.A.error with
-          | None -> None
-          | Some e ->
-              Some
-                (Printf.sprintf "salvaged %d of %d bytes (%d cases): %s"
-                   s.A.valid_bytes s.A.total_bytes (List.length cases) e)
-        in
-        Ok (meta, cases, note)
-
-  let rewrite path meta cases =
-    A.write_records path ~kind
-      ((meta_tag, meta_payload meta)
-      :: List.map (fun c -> (case_tag, case_payload c)) cases)
+  let load = Durable.load container
 end

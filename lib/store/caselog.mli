@@ -1,6 +1,7 @@
 (** The case-log engine: one durable, resumable, index-ordered ledger
     per indexed campaign ([szc fuzz], [szc layout sweep]). See the
-    "Case-log engine" section of DESIGN.md for the invariants.
+    "Case logs" part of the "Durable containers" section of DESIGN.md
+    for the invariants.
 
     A case log is a [%szc-artifact] container: the header, one [meta]
     record pinning the campaign's identity, then one [case] record per
@@ -68,6 +69,9 @@ module type CODEC = sig
   (** Error-message prefix, e.g. ["fuzzlog"]. *)
   val name : string
 
+  (** What [szc fsck] calls the log, e.g. ["fuzz ledger"]. *)
+  val noun : string
+
   (** Ordered [(key, value)] fields of each record's payload. *)
   val meta_fields : meta -> (string * string) list
 
@@ -83,8 +87,9 @@ module type S = sig
   type meta
   type case
 
-  (** The container kind. *)
-  val kind : string
+  (** The log as a {!Durable} container: the meta and the cases, counted
+      in cases. *)
+  val container : (meta * case list) Durable.t
 
   (** An open log, positioned for appending. *)
   type t
@@ -109,16 +114,8 @@ module type S = sig
 
   val close : t -> unit
 
-  (** Strict read: the whole file must parse and checksum. *)
+  (** [Durable.load container]. *)
   val load : string -> (meta * case list, string) result
-
-  (** Lenient read: longest valid prefix plus a salvage note ([None]
-      when the file was intact). *)
-  val recover : string -> (meta * case list * string option, string) result
-
-  (** Rewrite as a clean container (atomic + durable) — [szc fsck
-      --repair]. *)
-  val rewrite : string -> meta -> case list -> unit
 end
 
 module Make (C : CODEC) : S with type meta = C.meta and type case = C.case

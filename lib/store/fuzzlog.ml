@@ -44,6 +44,7 @@ module Codec = struct
   let ( let* ) = Result.bind
   let kind = "szc-fuzz"
   let name = "fuzzlog"
+  let noun = "fuzz ledger"
   let index c = c.index
 
   let meta_fields m =

@@ -1,7 +1,8 @@
 (** The fuzz ledger: the durable record of a [szc fuzz] campaign, a
     {!Caselog} of kind ["szc-fuzz"]: one [meta] record, then one [case]
     record per fuzzed index. Append, resume and repair semantics are the
-    engine's; see the "Case-log engine" section of DESIGN.md. *)
+    engine's; see "Case logs" in the "Durable containers" section of
+    DESIGN.md. *)
 
 (** Campaign identity. {!resume} refuses a file whose meta differs —
     resuming under different knobs would silently change what the

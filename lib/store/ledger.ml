@@ -79,47 +79,23 @@ let entry_of_payload s =
       verdict;
     }
 
-let entries_of_records ~lenient records =
-  Caselog.decode_records ~name:"ledger" ~tag:record_tag ~lenient
-    entry_of_payload records
+let container =
+  {
+    Durable.kind;
+    noun = "ledger";
+    units = ("entry", "entries");
+    count = List.length;
+    counted = true;
+    encode = List.map (fun e -> (record_tag, entry_to_payload e));
+    decode =
+      (fun ~lenient records ->
+        Result.map
+          (fun es -> (es, None))
+          (Caselog.decode_records ~name:"ledger" ~tag:record_tag ~lenient
+             entry_of_payload records));
+  }
 
-let write path entries =
-  Artifact.write_records path ~kind
-    (List.map (fun e -> (record_tag, entry_to_payload e)) entries)
-
-let load path =
-  match Artifact.read_records path with
-  | Error e -> Error e
-  | Ok (k, records) ->
-      if k <> kind then Error "ledger: unexpected artifact kind"
-      else entries_of_records ~lenient:false records
-
-let recover path =
-  match Artifact.read_file path with
-  | Error e -> Error e
-  | Ok text ->
-      if not (Artifact.is_container text) then Error "ledger: not a container"
-      else
-        let s = Artifact.salvage_string text in
-        if s.Artifact.kind <> Some kind then
-          Error
-            (match s.Artifact.error with
-            | Some e -> e
-            | None -> "ledger: unexpected artifact kind")
-        else
-          Result.map
-            (fun entries ->
-              let note =
-                match s.Artifact.error with
-                | None -> None
-                | Some e ->
-                    Some
-                      (Printf.sprintf "salvaged %d of %d bytes (%d entries): %s"
-                         s.Artifact.valid_bytes s.Artifact.total_bytes
-                         (List.length entries) e)
-              in
-              (entries, note))
-            (entries_of_records ~lenient:true s.Artifact.records)
+let load = Durable.load container
 
 let append path e =
   (* A zero-length file is a fresh ledger, not a corrupt one: callers
@@ -131,5 +107,5 @@ let append path e =
   match existing with
   | Error err -> Error err
   | Ok entries ->
-      write path (entries @ [ e ]);
+      Durable.write container path (entries @ [ e ]);
       Ok (List.length entries)

@@ -16,7 +16,7 @@
     (atomic, durable); existing records are never modified, so the file
     history is append-only even though the bytes are rewritten. A torn
     or bit-flipped ledger salvages to its longest valid entry prefix
-    ({!recover}, [szc fsck --repair]). *)
+    ([Durable.recover container], [szc fsck --repair]). *)
 
 type entry = {
   label : string;  (** benchmark name *)
@@ -43,30 +43,16 @@ type entry = {
           campaign ran unmonitored *)
 }
 
-(** Container kind: ["szc-ledger"]. *)
-val kind : string
+(** The ledger as a {!Durable} container: one ["campaign"] record per
+    entry (line-oriented [key value] text, floats in hexadecimal),
+    counted in entries. *)
+val container : entry list Durable.t
 
-(** Record payload round-trip (line-oriented [key value] text; floats
-    in hexadecimal). [entry_of_payload] rejects malformed payloads. *)
-val entry_to_payload : entry -> string
-
-val entry_of_payload : string -> (entry, string) result
-
-(** Strict load: the whole container must parse, every CRC must match.
-    [Error] on a missing, corrupt or non-ledger file. *)
+(** [Durable.load container]. *)
 val load : string -> (entry list, string) result
-
-(** Lenient load: salvage the longest valid entry prefix of a damaged
-    ledger, plus [Some note] describing what was lost ([None] when
-    intact). [Error] only when the file is missing or not a ledger. *)
-val recover : string -> (entry list * string option, string) result
 
 (** [append path e] adds one entry: creates the ledger when [path] does
     not exist or is empty, otherwise strict-loads it first — a corrupt ledger is
     refused (run [szc fsck --repair]) rather than silently truncated.
     Returns the new entry's sequence number (0-based position). *)
 val append : string -> entry -> (int, string) result
-
-(** Durably (re)write a whole ledger — what [fsck --repair] uses to
-    rewrite a salvaged prefix. *)
-val write : string -> entry list -> unit

@@ -55,6 +55,7 @@ module Codec = struct
   let ( let* ) = Result.bind
   let kind = "szc-sweep"
   let name = "sweeplog"
+  let noun = "sweep ledger"
   let index c = c.index
 
   let meta_fields m =

@@ -1,8 +1,8 @@
 (** The layout-sweep ledger: the durable record of a [szc layout sweep]
     campaign, a {!Caselog} of kind ["szc-sweep"]: one [meta] record,
     then one [case] record per swept index. Append, resume and repair
-    semantics are the engine's; see the "Case-log engine" section of
-    DESIGN.md. *)
+    semantics are the engine's; see "Case logs" in the "Durable
+    containers" section of DESIGN.md. *)
 
 (** Sweep identity. {!resume} refuses a file whose meta differs. *)
 type meta = {

@@ -6,6 +6,7 @@
    never duplicates bytes at exit. *)
 
 module A = Stz_store.Artifact
+module Durable = Stz_store.Durable
 
 let kind = "szc-oplog"
 let record_tag = "op"
@@ -27,38 +28,48 @@ let open_fresh path =
   A.write_exact fd header;
   (fd, String.length header)
 
-(* A reopened oplog self-heals: a torn tail (daemon SIGKILLed
-   mid-write) is truncated back to the longest valid record prefix so
-   subsequent appends stay parseable; a file that is not our container
-   at all is moved aside rather than silently destroyed. *)
-let open_existing path =
-  match A.read_file path with
-  | Error _ -> open_fresh path
-  | Ok text when String.length text = 0 -> open_fresh path
-  | Ok text -> (
-      let s = A.salvage_string text in
-      match s.A.kind with
-      | Some k when k = kind ->
-          let valid = s.A.valid_bytes in
-          if valid = String.length text then begin
-            let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-            (fd, valid)
-          end
-          else begin
-            let fd =
-              Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-            in
-            A.write_exact fd (String.sub text 0 valid);
-            (fd, valid)
-          end
-      | _ ->
-          (try Sys.rename path (path ^ ".corrupt") with Sys_error _ -> ());
-          open_fresh path)
+(* Raw [(tag, payload)] records, so a repair rewrites the surviving
+   bytes exactly; a record counts only when its payload parses as JSON. *)
+let container =
+  {
+    Durable.kind;
+    noun = "oplog";
+    units = ("record", "records");
+    count = List.length;
+    counted = true;
+    encode = Fun.id;
+    decode =
+      (fun ~lenient records ->
+        Result.map
+          (fun records -> (records, None))
+          (Stz_store.Caselog.decode_records ~name:"oplog" ~tag:record_tag
+             ~lenient
+             (fun p ->
+               match Json.of_string p with
+               | Ok _ -> Ok (record_tag, p)
+               | Error e -> Error ("oplog: bad record payload: " ^ e))
+             records));
+  }
 
+(* A reopened oplog self-heals through the one container repair: a torn
+   tail (daemon SIGKILLed mid-write) or an undecodable record is cut
+   back to the longest decodable prefix, and a file that is not our
+   container at all is moved aside rather than silently destroyed. *)
 let create ~path ?(max_bytes = 4 * 1024 * 1024) ?(keep = 3) () =
   match
+    let kept =
+      Sys.file_exists path
+      && (Unix.stat path).Unix.st_size > 0
+      &&
+      match Durable.repair container path with
+      | Durable.Unrecoverable _ -> false
+      | Durable.Intact _ | Durable.Salvaged _ -> true
+    in
     let fd, size =
-      if Sys.file_exists path then open_existing path else open_fresh path
+      if kept then
+        let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
+        (fd, (Unix.fstat fd).Unix.st_size)
+      else open_fresh path
     in
     { path; max_bytes = Stdlib.max max_bytes (String.length header + 1); keep; fd; size; closed = false }
   with
@@ -110,49 +121,7 @@ let close t =
 (* Read side (fsck, tests)                                             *)
 (* ------------------------------------------------------------------ *)
 
-let ( let* ) = Result.bind
-
 let load path =
-  let* k, records = A.read_records path in
-  let* () =
-    if k = kind then Ok ()
-    else Error (Printf.sprintf "oplog: unexpected artifact kind %S" k)
-  in
-  Stz_store.Caselog.decode_records ~name:"oplog" ~tag:record_tag
-    ~lenient:false
-    (fun p ->
-      Result.map_error (( ^ ) "oplog: bad record payload: ") (Json.of_string p))
-    records
-
-(* Longest valid prefix, as raw (tag, payload) records suitable for
-   {!rewrite}; the note reports what was lost, [None] when intact. *)
-let recover path =
-  let* text = A.read_file path in
-  if not (A.is_container text) then Error "oplog: not a container"
-  else
-    let s = A.salvage_string text in
-    if s.A.kind <> Some kind then
-      Error
-        (match s.A.error with
-        | Some e -> e
-        | None -> "oplog: unexpected artifact kind")
-    else
-      let rec valid_prefix acc = function
-        | (tag, payload) :: rest
-          when tag = record_tag && Result.is_ok (Json.of_string payload) ->
-            valid_prefix ((tag, payload) :: acc) rest
-        | _ -> List.rev acc
-      in
-      let records = valid_prefix [] s.A.records in
-      let note =
-        if s.A.error = None && List.length records = List.length s.A.records
-        then None
-        else
-          Some
-            (Printf.sprintf "salvaged %d of %d bytes (%d records)%s"
-               s.A.valid_bytes s.A.total_bytes (List.length records)
-               (match s.A.error with Some e -> ": " ^ e | None -> ""))
-      in
-      Ok (records, note)
-
-let rewrite path records = A.write_records path ~kind records
+  Result.map
+    (List.map (fun (_, p) -> Result.get_ok (Json.of_string p)))
+    (Durable.load container path)

@@ -6,8 +6,9 @@
     the file is a valid [%szc-artifact] container of kind
     ["szc-oplog"]: [szc fsck] verifies it, a SIGKILL mid-write
     salvages to the longest valid record prefix, and a reopened oplog
-    {e self-heals} (the torn tail is truncated before appending
-    resumes). Appends are one [write(2)] each — unbuffered, so a
+    {e self-heals} through [Durable.repair] before appending resumes (a
+    torn or undecodable tail is cut off; a foreign file is moved
+    aside). Appends are one [write(2)] each — unbuffered, so a
     forked child that inherits the descriptor can never duplicate
     bytes at exit; the child simply closes the fd and stays silent.
 
@@ -21,10 +22,6 @@
     zero bytes of any campaign artifact. *)
 
 type t
-
-(** The container kind, ["szc-oplog"] — what [szc fsck] dispatches
-    on. *)
-val kind : string
 
 (** Open (or create) the oplog at [path], self-healing any torn tail.
     [max_bytes] (default 4 MiB) bounds each generation; [keep]
@@ -44,14 +41,10 @@ val event : t -> ts_ms:int -> ev:string -> (string * Json.t) list -> unit
 val path : t -> string
 val close : t -> unit
 
+(** The oplog as a {!Stz_store.Durable} container: its raw
+    [(tag, payload)] records, each payload valid JSON, so a repair
+    rewrites the surviving bytes exactly. *)
+val container : (string * string) list Stz_store.Durable.t
+
 (** Strict read: every record frames, checksums and parses as JSON. *)
 val load : string -> (Json.t list, string) result
-
-(** Lenient read for repair: the longest valid prefix of records (raw
-    [(tag, payload)] pairs, ready for {!rewrite}) plus a salvage note
-    ([None] when the file was intact). *)
-val recover : string -> ((string * string) list * string option, string) result
-
-(** Rewrite the file as a clean container holding exactly [records]
-    (atomic + durable via the artifact layer). *)
-val rewrite : string -> (string * string) list -> unit

@@ -17,7 +17,9 @@
 #      campaign to exit 0;
 #   5. every tenant's CSV, checkpoint and ledger must be byte-identical
 #      (`cmp`) to its solo reference;
-#   6. SIGTERM the daemon and demand a clean drain (exit 0).
+#   6. SIGTERM the daemon and demand a clean drain (exit 0), then
+#      `szc fsck` every tenant's manifest, result, checkpoint, ledger
+#      and CSV (exit 0 required).
 #
 # The ops plane rides along the whole way: the daemon runs with
 # --oplog and --ops-export, `szc remote top --once --raw` scrapes a
@@ -188,8 +190,13 @@ if [ "$code" -ne 0 ]; then
   exit 1
 fi
 
-echo "== after the drain: oplog fscks clean, final export parses"
+echo "== after the drain: oplog and every tenant's spool entry fsck clean, final export parses"
 $SZC fsck "$outdir/ops.log"
+for s in 1 2 3; do
+  dir="$spool/t$s/c$s"
+  $SZC fsck "$dir/manifest" "$dir/result" "$dir/checkpoint.ck" "$dir/ledger" \
+    "$dir/out.csv"
+done
 grep -q '"ev":"daemon.drained"' "$outdir/ops.log"
 check_prometheus "$outdir/ops.prom"
 

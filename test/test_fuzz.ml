@@ -250,8 +250,8 @@ let fuzzlog_resume_heals_torn_tail () =
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
       Unix.ftruncate fd (String.length intact - 9);
       Unix.close fd;
-      (match unwrap (Fl.recover path) with
-      | _, cs, note ->
+      (match unwrap (Stz_store.Durable.recover Fl.container path) with
+      | (_, cs), note ->
           check_int "one record lost" 4 (List.length cs);
           check_bool "salvage noted" true (note <> None));
       let t, survivors = unwrap (Fl.resume ~path meta) in

@@ -11,10 +11,12 @@ module Storage = Stz_faults.Storage
 module S = Stabilizer
 module F = Stz_faults.Fault
 module P = Stz_workloads.Profile
+module Dr = Stz_store.Durable
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let szc_exe = "../bin/szc.exe"
 
 let with_temp f =
   let path = Filename.temp_file "stz-store" ".bin" in
@@ -80,14 +82,18 @@ let records =
     ("state", String.init 257 (fun i -> Char.chr (i mod 256)));
   ]
 
+(* The kind and records of a container that must parse completely. *)
+let strict_records path =
+  match A.salvage_string (read_file path) with
+  | { A.error = Some e; _ } -> Alcotest.failf "%s: %s" path e
+  | { A.kind; records; _ } -> (Option.get kind, records)
+
 let container_round_trip () =
   with_temp (fun path ->
-      A.write_records path ~kind:"test-kind" records;
-      match A.read_records path with
-      | Error e -> Alcotest.failf "read_records: %s" e
-      | Ok (kind, got) ->
-          check_string "kind" "test-kind" kind;
-          check_bool "records" true (got = records));
+      A.write_file path (A.container ~kind:"test-kind" records);
+      let kind, got = strict_records path in
+      check_string "kind" "test-kind" kind;
+      check_bool "records" true (got = records));
   (* Deterministic serialization. *)
   check_string "same records, same bytes"
     (A.container ~kind:"k" records)
@@ -239,25 +245,36 @@ let checkpoint_is_container () =
       let c = campaign ~seed:5 ~checkpoint:path F.light in
       let text = read_file path in
       check_bool "magic" true (A.is_container text);
-      (match A.read_records path with
-      | Error e -> Alcotest.failf "strict read: %s" e
-      | Ok (kind, recs) ->
-          check_string "kind" "szc-checkpoint" kind;
-          check_int "meta + runs + state" (List.length c.S.Supervisor.records + 2)
-            (List.length recs));
+      let kind, recs = strict_records path in
+      check_string "kind" "szc-checkpoint" kind;
+      check_int "meta + runs + state" (List.length c.S.Supervisor.records + 2)
+        (List.length recs);
       match S.Supervisor.load path with
       | Error e -> Alcotest.failf "load: %s" e
       | Ok c' -> check_bool "round-trips" true (c = c'))
 
-let legacy_json_still_loads () =
+(* Checkpoint versions 1/2 were bare JSON and nothing reads them any
+   more: a v2 file is refused everywhere and left byte-identical. *)
+let legacy_json_refused () =
   with_temp (fun path ->
-      let c = campaign ~seed:5 F.light in
+      let v2 =
+        {|{"version":2,"base_seed":"1","runs":3,"profile":"none","config":"stabilizer","reference":null,"budget_cycles":null,"budget_fuel":null,"quarantined":[],"records":[{"run":0,"seed":"7","retries":0,"outcome":"worker-lost"}]}|}
+      in
       let oc = open_out_bin path in
-      output_string oc (S.Json.to_string (S.Supervisor.to_json c));
+      output_string oc v2;
       close_out oc;
-      match S.Supervisor.load path with
-      | Error e -> Alcotest.failf "legacy load: %s" e
-      | Ok c' -> check_bool "legacy JSON round-trips" true (c = c'))
+      check_bool "load refuses" true (Result.is_error (S.Supervisor.load path));
+      check_bool "recover refuses" true
+        (Result.is_error (S.Supervisor.recover path));
+      let szc args =
+        Sys.command
+          (Printf.sprintf "%s %s %s > /dev/null 2>&1" (Filename.quote szc_exe)
+             args (Filename.quote path))
+      in
+      check_int "campaign --resume exits 3" 3
+        (szc "campaign bzip2 --runs 3 --scale 0.05 --quiet --resume --checkpoint");
+      check_string "checkpoint left byte-identical" v2 (read_file path);
+      check_int "fsck exits 1" 1 (szc "fsck"))
 
 let record_prefix shorter longer =
   is_prefix shorter.S.Supervisor.records longer.S.Supervisor.records
@@ -342,7 +359,7 @@ let derived_state_resume_identity () =
           in
           check_int "exactly one state record" 1
             (List.length s.A.records - List.length without_state);
-          A.write_records path ~kind:"szc-checkpoint" without_state;
+          A.write_file path (A.container ~kind:"szc-checkpoint" without_state);
           (match S.Supervisor.load path with
           | Ok _ -> Alcotest.fail "strict load must reject a missing state record"
           | Error _ -> ());
@@ -428,9 +445,11 @@ let ledger_round_trip () =
       let e =
         { (sample_entry 0) with Ledger.mean = 0.1; sd = Float.min_float }
       in
-      match Ledger.entry_of_payload (Ledger.entry_to_payload e) with
-      | Error err -> Alcotest.failf "payload: %s" err
-      | Ok e' -> check_bool "hex floats are bit-exact" true (e = e'))
+      let c = Ledger.container in
+      match c.Dr.decode ~lenient:false (c.Dr.encode [ e ]) with
+      | Ok ([ e' ], None) -> check_bool "hex floats are bit-exact" true (e = e')
+      | Ok _ -> Alcotest.fail "payload: one entry expected"
+      | Error err -> Alcotest.failf "payload: %s" err)
 
 let ledger_refuses_corrupt_append () =
   with_temp (fun path ->
@@ -451,13 +470,13 @@ let ledger_truncation_fuzz () =
      and must only ever salvage an entry prefix. *)
   with_temp (fun path ->
       let entries = List.init 4 sample_entry in
-      Ledger.write path entries;
+      Dr.write Ledger.container path entries;
       let full = read_file path in
       for len = 0 to String.length full do
         let oc = open_out_bin path in
         output_string oc (String.sub full 0 len);
         close_out oc;
-        match Ledger.recover path with
+        match Dr.recover Ledger.container path with
         | exception e ->
             Alcotest.failf "truncate@%d raised %s" len (Printexc.to_string e)
         | Error _ -> ()
@@ -472,10 +491,7 @@ let ledger_truncation_fuzz () =
               check_string
                 (Printf.sprintf "truncate@%d: clean salvage is a boundary" len)
                 (String.sub full 0 len)
-                (A.container ~kind:Ledger.kind
-                   (List.map
-                      (fun e -> ("campaign", Ledger.entry_to_payload e))
-                      got))
+                (Dr.bytes Ledger.container got)
       done)
 
 let ledger_bit_flip_fuzz () =
@@ -484,7 +500,7 @@ let ledger_bit_flip_fuzz () =
      parse. *)
   with_temp (fun path ->
       let entries = List.init 3 sample_entry in
-      Ledger.write path entries;
+      Dr.write Ledger.container path entries;
       let full = read_file path in
       for i = 0 to String.length full - 1 do
         let b = Bytes.of_string full in
@@ -492,7 +508,7 @@ let ledger_bit_flip_fuzz () =
         let oc = open_out_bin path in
         output_string oc (Bytes.to_string b);
         close_out oc;
-        (match Ledger.recover path with
+        (match Dr.recover Ledger.container path with
         | exception e ->
             Alcotest.failf "flip@%d raised %s" i (Printexc.to_string e)
         | Error _ -> ()
@@ -527,10 +543,7 @@ let write_oplog path n =
       done;
       Oplog.close l
 
-let oplog_raw_records path =
-  match A.read_records path with
-  | Ok (_, records) -> records
-  | Error e -> Alcotest.failf "intact oplog unreadable: %s" e
+let oplog_raw_records path = snd (strict_records path)
 
 let oplog_truncation_fuzz () =
   (* Cut the oplog at EVERY byte offset — the SIGKILL-mid-write
@@ -544,7 +557,7 @@ let oplog_truncation_fuzz () =
         let oc = open_out_bin path in
         output_string oc (String.sub full 0 len);
         close_out oc;
-        match Oplog.recover path with
+        match Dr.recover Oplog.container path with
         | exception e ->
             Alcotest.failf "truncate@%d raised %s" len (Printexc.to_string e)
         | Error _ -> ()
@@ -555,7 +568,7 @@ let oplog_truncation_fuzz () =
               check_string
                 (Printf.sprintf "truncate@%d: clean salvage is a boundary" len)
                 (String.sub full 0 len)
-                (A.container ~kind:Oplog.kind got)
+                (Dr.bytes Oplog.container got)
       done)
 
 let oplog_bit_flip_fuzz () =
@@ -577,7 +590,7 @@ let oplog_bit_flip_fuzz () =
         let oc = open_out_bin path in
         output_string oc (Bytes.to_string b);
         close_out oc;
-        (match Oplog.recover path with
+        (match Dr.recover Oplog.container path with
         | exception e ->
             Alcotest.failf "flip@%d raised %s" i (Printexc.to_string e)
         | Error _ -> ()
@@ -608,10 +621,21 @@ let oplog_self_heal_appends_after_torn_tail () =
           Oplog.event l ~ts_ms:1_700_000_000_999 ~ev:"fuzz.after"
             [ ("ok", Json.Bool true) ];
           Oplog.close l);
-      match Oplog.load path with
+      (match Oplog.load path with
       | Error e -> Alcotest.failf "healed file not strictly valid: %s" e
       | Ok records ->
-          check_int "4 salvaged + 1 appended" 5 (List.length records))
+          check_int "4 salvaged + 1 appended" 5 (List.length records));
+      (* A record that checksums but is not JSON is dropped on reopen
+         too, as the next fsck would drop it. *)
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_string oc (A.record_string ("op", "not json"));
+      close_out oc;
+      (match Oplog.create ~path () with
+      | Error e -> Alcotest.failf "self-heal open: %s" e
+      | Ok l -> Oplog.close l);
+      match Oplog.load path with
+      | Error e -> Alcotest.failf "undecodable record kept: %s" e
+      | Ok records -> check_int "undecodable record dropped" 5 (List.length records))
 
 (* ------------------------------------------------------------------ *)
 (* szc fsck golden                                                     *)
@@ -619,8 +643,7 @@ let oplog_self_heal_appends_after_torn_tail () =
 
 module Fl = Stz_store.Fuzzlog
 module Sl = Stz_store.Sweeplog
-
-let szc_exe = "../bin/szc.exe"
+module Spool = Stz_daemon.Spool
 
 let replace_all ~sub ~by s =
   let n = String.length sub in
@@ -706,14 +729,27 @@ let sweep_specimen path =
    header kind, first record tag, writer). *)
 let fsck_specimens =
   [
-    ("ledger", Ledger.kind, "campaign",
-      fun path -> Ledger.write path (List.init 3 sample_entry));
-    ("oplog", Oplog.kind, "op", fun path -> write_oplog path 3);
-    ("fuzzlog", Fl.kind, "meta", fuzz_specimen);
-    ("sweeplog", Sl.kind, "meta", sweep_specimen);
+    ("ledger", Ledger.container.Dr.kind, "campaign",
+      fun path -> Dr.write Ledger.container path (List.init 3 sample_entry));
+    ("oplog", Oplog.container.Dr.kind, "op", fun path -> write_oplog path 3);
+    ("fuzzlog", Fl.container.Dr.kind, "meta", fuzz_specimen);
+    ("sweeplog", Sl.container.Dr.kind, "meta", sweep_specimen);
     ("checkpoint", "szc-checkpoint", "meta",
       fun path -> ignore (campaign ~runs:4 ~checkpoint:path ~seed:5 F.light));
+    ("manifest", "szc-manifest", "spec",
+      fun path ->
+        Dr.write Spool.manifest path
+          { Spool.default_spec with Spool.bench = "mcf"; runs = 3; scale = 0.05 });
+    ("result", "szc-result", "result",
+      fun path -> Dr.write Spool.result path (Spool.Finished 0));
   ]
+
+(* A well-formed container of a kind fsck does not know. *)
+let fsck_unknown_kind =
+  ("unknown", "szc-mystery", "x", fun path ->
+    let oc = open_out_bin path in
+    output_string oc (A.container ~kind:"szc-mystery" [ ("x", "payload") ]);
+    close_out oc)
 
 (* Three states per kind: intact, torn mid-record, and a valid header
    whose first record checksums but does not decode. *)
@@ -764,6 +800,9 @@ let fsck_golden () =
           (fun st -> [ fsck_line ~repair:false spec st; fsck_line ~repair:true spec st ])
           fsck_states)
       fsck_specimens
+    @ List.map
+        (fun repair -> fsck_line ~repair fsck_unknown_kind (List.hd fsck_states))
+        [ false; true ]
   in
   let expected =
     [
@@ -771,8 +810,8 @@ let fsck_golden () =
       "ledger intact --repair -> 0 | FILE: ok (ledger, 3 entries)";
       "ledger torn -> 2 | FILE: salvageable — salvaged 745 of 1097 bytes (2 entries): record payload truncated";
       "ledger torn --repair -> 2 | FILE: salvageable — salvaged 745 of 1097 bytes (2 entries): record payload truncated | FILE: repaired (rewritten from the salvaged prefix, 2 entries)";
-      "ledger undecodable -> 2 | FILE: salvageable — prefix intact";
-      "ledger undecodable --repair -> 2 | FILE: salvageable — prefix intact | FILE: repaired (rewritten from the salvaged prefix, 0 entries)";
+      "ledger undecodable -> 2 | FILE: salvageable — salvaged 63 of 63 bytes (0 entries)";
+      "ledger undecodable --repair -> 2 | FILE: salvageable — salvaged 63 of 63 bytes (0 entries) | FILE: repaired (rewritten from the salvaged prefix, 0 entries)";
       "oplog intact -> 0 | FILE: ok (oplog, 3 records)";
       "oplog intact --repair -> 0 | FILE: ok (oplog, 3 records)";
       "oplog torn -> 2 | FILE: salvageable — salvaged 220 of 310 bytes (2 records): record payload truncated";
@@ -793,59 +832,137 @@ let fsck_golden () =
       "sweeplog undecodable --repair -> 3 (moved aside) | FILE: unrecoverable — sweeplog: missing field \"version\" | FILE: moved aside to FILE.corrupt";
       "checkpoint intact -> 0 | FILE: ok (checkpoint container)";
       "checkpoint intact --repair -> 0 | FILE: ok (checkpoint container)";
-      "checkpoint torn -> 2 | FILE: salvageable — salvaged 1915 of 1986 bytes: record payload truncated; supervisor state re-derived from run records";
-      "checkpoint torn --repair -> 2 | FILE: salvageable — salvaged 1915 of 1986 bytes: record payload truncated; supervisor state re-derived from run records | FILE: repaired (rewritten from the salvaged prefix, 4 records)";
+      "checkpoint torn -> 2 | FILE: salvageable — salvaged 1915 of 1986 bytes (4 records): record payload truncated; supervisor state re-derived from run records";
+      "checkpoint torn --repair -> 2 | FILE: salvageable — salvaged 1915 of 1986 bytes (4 records): record payload truncated; supervisor state re-derived from run records | FILE: repaired (rewritten from the salvaged prefix, 4 records)";
       "checkpoint undecodable -> 3 | FILE: unrecoverable — at 0: expected null";
       "checkpoint undecodable --repair -> 3 (moved aside) | FILE: unrecoverable — at 0: expected null | FILE: moved aside to FILE.corrupt";
+      "manifest intact -> 0 | FILE: ok (spool manifest)";
+      "manifest intact --repair -> 0 | FILE: ok (spool manifest)";
+      "manifest torn -> 3 | FILE: unrecoverable — spool manifest: expected one \"spec\" record";
+      "manifest torn --repair -> 3 (moved aside) | FILE: unrecoverable — spool manifest: expected one \"spec\" record | FILE: moved aside to FILE.corrupt";
+      "manifest undecodable -> 3 | FILE: unrecoverable — at 0: expected null";
+      "manifest undecodable --repair -> 3 (moved aside) | FILE: unrecoverable — at 0: expected null | FILE: moved aside to FILE.corrupt";
+      "result intact -> 0 | FILE: ok (spool result)";
+      "result intact --repair -> 0 | FILE: ok (spool result)";
+      "result torn -> 3 | FILE: unrecoverable — spool result: expected one \"result\" record";
+      "result torn --repair -> 3 (moved aside) | FILE: unrecoverable — spool result: expected one \"result\" record | FILE: moved aside to FILE.corrupt";
+      "result undecodable -> 3 | FILE: unrecoverable — result: malformed state";
+      "result undecodable --repair -> 3 (moved aside) | FILE: unrecoverable — result: malformed state | FILE: moved aside to FILE.corrupt";
+      "unknown intact -> 1 | FILE: unknown container kind \"szc-mystery\"";
+      "unknown intact --repair -> 1 | FILE: unknown container kind \"szc-mystery\"";
     ]
   in
   Alcotest.(check (list string)) "fsck golden" expected actual
 
 (* ------------------------------------------------------------------ *)
-(* Case-log engine: tail-tear property                                 *)
+(* Durable containers: tail-tear property, one per kind                *)
 (* ------------------------------------------------------------------ *)
 
-(* For random case lists, cut the file at every byte offset inside its
-   last two records: [resume] must keep exactly the whole records before
-   the cut, and re-appending the lost cases must reproduce the intact
-   bytes. *)
+let take k l = List.filteri (fun i _ -> i < k) l
+
+(* For random values of one container kind, written by the kind's own
+   writer ([write], whose bytes must equal [Dr.bytes]), cut the file at
+   every byte offset inside its last two records. [prefix v k] is what a
+   file holding only the first [k] [item] records decodes to ([None]:
+   nothing survives), compared with [same] (default: equal container
+   bytes, since writers sanitize what they encode). At every cut:
+   - [recover] returns exactly that decode-prefix, noted unless the cut
+     fell on a record boundary;
+   - [repair] then [load] gives it back, or, when nothing survives, the
+     cut file is moved aside byte-identical;
+   - [reopen path v k], for kinds appended in place, reopens the cut
+     file and re-appends from item [k]: the result is the intact bytes. *)
+let tail_heal (type a) ?(count = 5) name (c : a Dr.t) ~item ?same ~prefix
+    ?reopen ~write (gen : a QCheck.Gen.t) =
+  let same =
+    Option.value same ~default:(fun a b -> Dr.bytes c a = Dr.bytes c b)
+  in
+  QCheck.Test.make ~name ~count (QCheck.make gen) (fun v ->
+      with_temp (fun path ->
+          write path v;
+          let intact = read_file path in
+          let header = String.length (A.header_line ~kind:c.Dr.kind) in
+          (* (end offset, tag) of every record. *)
+          let ends =
+            List.rev
+              (snd
+                 (List.fold_left
+                    (fun (pos, acc) r ->
+                      let pos = pos + String.length (A.record_string r) in
+                      (pos, (pos, fst r) :: acc))
+                    (header, []) (c.Dr.encode v)))
+          in
+          let n = List.length ends in
+          let start = if n >= 3 then fst (List.nth ends (n - 3)) else header in
+          if intact <> Dr.bytes c v then Alcotest.fail "writer bytes differ";
+          for cut = start to String.length intact - 1 do
+            let expect what b = if not b then Alcotest.failf "cut at %d: %s" cut what in
+            let torn = String.sub intact 0 cut in
+            let put () =
+              let oc = open_out_bin path in
+              output_string oc torn;
+              close_out oc
+            in
+            put ();
+            let k =
+              List.length (List.filter (fun (e, tag) -> tag = item && e <= cut) ends)
+            in
+            let want = prefix v k in
+            (* A cut on a record boundary leaves a shorter file that may
+               still load (the checkpoint's also needs its state record). *)
+            let boundary = cut = header || List.exists (fun (e, _) -> e = cut) ends in
+            let loads = Result.is_ok (Dr.load c path) in
+            (match (Dr.recover c path, want) with
+            | Ok (got, note), Some w ->
+                expect "recover is the prefix" (same got w);
+                expect "noted exactly when load fails" ((note = None) = loads);
+                expect "a mid-record cut is noted" (boundary || note <> None)
+            | Error _, None -> ()
+            | _ -> expect "recover" false);
+            (match (Dr.repair c path, want) with
+            | (Dr.Intact _ | Dr.Salvaged _), Some w -> (
+                match Dr.load c path with
+                | Ok got -> expect "repaired file loads the prefix" (same got w)
+                | Error e -> expect ("load after repair: " ^ e) false)
+            | Dr.Unrecoverable _, None ->
+                expect "moved aside intact"
+                  ((not (Sys.file_exists path)) && read_file (Dr.aside path) = torn)
+            | _ -> expect "repair" false);
+            Option.iter
+              (fun reopen ->
+                put ();
+                reopen path v k;
+                expect "reopen re-appends the intact bytes" (read_file path = intact))
+              reopen
+          done;
+          true))
+
 let caselog_tail_heal (type m c) name
     (module L : Stz_store.Caselog.S with type meta = m and type case = c)
     (meta : m) (gen_case : int -> c QCheck.Gen.t) =
   let gen =
-    QCheck.Gen.(int_range 2 5 >>= fun n -> flatten_l (List.init n gen_case))
+    QCheck.Gen.(
+      int_range 2 5 >>= fun n ->
+      map (fun cs -> (meta, cs)) (flatten_l (List.init n gen_case)))
   in
-  QCheck.Test.make ~name ~count:5 (QCheck.make gen) (fun cases ->
-      with_temp (fun path ->
-          let write cs =
-            match L.create ~path meta with
-            | Error e -> Alcotest.fail e
-            | Ok t ->
-                List.iter (L.append t) cs;
-                L.close t;
-                read_file path
-          in
-          let n = List.length cases in
-          let keep k = List.filteri (fun i _ -> i < k) cases in
-          let ends = List.init 3 (fun j -> String.length (write (keep (n - 2 + j)))) in
-          let intact = write cases in
-          let ok = ref true in
-          for cut = List.hd ends to String.length intact - 1 do
-            let oc = open_out_bin path in
-            output_string oc (String.sub intact 0 cut);
-            close_out oc;
-            match L.resume ~path meta with
-            | Error e -> Alcotest.failf "resume at %d: %s" cut e
-            | Ok (t, kept) ->
-                let k = List.length kept in
-                let expected_k =
-                  n - 2 + List.length (List.filter (fun e -> e <= cut) (List.tl ends))
-                in
-                List.iteri (fun i c -> if i >= k then L.append t c) cases;
-                L.close t;
-                if k <> expected_k || read_file path <> intact then ok := false
-          done;
-          !ok))
+  let append_from cases k t =
+    List.iteri (fun i c -> if i >= k then L.append t c) cases;
+    L.close t
+  in
+  tail_heal name L.container ~item:"case"
+    ~prefix:(fun (m, cs) k -> Some (m, take k cs))
+    ~write:(fun path (m, cs) ->
+      match L.create ~path m with
+      | Error e -> Alcotest.fail e
+      | Ok t -> append_from cs 0 t)
+    ~reopen:(fun path (m, cs) k ->
+      match L.resume ~path m with
+      | Error e -> Alcotest.failf "resume: %s" e
+      | Ok (t, kept) ->
+          if List.length kept <> k then
+            Alcotest.failf "resume kept %d, wanted %d" (List.length kept) k;
+          append_from cs k t)
+    gen
 
 let gen_text =
   QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; ' '; '\n'; '\r'; 'z'; '%' ]) (int_range 0 9))
@@ -936,6 +1053,123 @@ let sweeplog_tail_heal =
     }
     gen_sweep_case
 
+let list_of gen = QCheck.Gen.(int_range 2 5 >>= fun n -> list_repeat n gen)
+
+let gen_entry =
+  let open QCheck.Gen in
+  let* label = gen_text in
+  let* fingerprint = gen_text in
+  let* base_seed = ui64 in
+  let* runs = nat in
+  let* completed = nat in
+  let* censored = nat in
+  let* mean = float in
+  let* sd = float in
+  let* min = float in
+  let* max = float in
+  let* skewness = float in
+  let* kurtosis = float in
+  let* detectable_effect = float in
+  let* verdict = gen_text in
+  return
+    {
+      Ledger.label;
+      fingerprint;
+      base_seed;
+      runs;
+      completed;
+      censored;
+      mean;
+      sd;
+      min;
+      max;
+      skewness;
+      kurtosis;
+      detectable_effect;
+      verdict;
+    }
+
+let ledger_tail_heal =
+  tail_heal "ledger: every tail cut recovers a prefix" Ledger.container
+    ~item:"campaign"
+    ~prefix:(fun es k -> Some (take k es))
+    ~write:(fun path es ->
+      List.iter
+        (fun e -> if Result.is_error (Ledger.append path e) then Alcotest.fail "append")
+        es)
+    (list_of gen_entry)
+
+(* Oplog values are the raw records; the writer logs them as events. *)
+let oplog_tail_heal =
+  let log_from path records k =
+    match Oplog.create ~path () with
+    | Error e -> Alcotest.fail e
+    | Ok l ->
+        List.iteri
+          (fun i (_, p) ->
+            if i >= k then Oplog.log l (Result.get_ok (Json.of_string p)))
+          records;
+        Oplog.close l
+  in
+  let gen_event =
+    QCheck.Gen.(
+      map2
+        (fun ts ev ->
+          let j = Json.Obj [ ("ts_ms", Json.Int ts); ("ev", Json.String ev) ] in
+          ("op", Json.to_string j))
+        nat gen_text)
+  in
+  tail_heal "oplog: every tail cut heals byte-identically" Oplog.container
+    ~item:"op"
+    ~prefix:(fun rs k -> Some (take k rs))
+    ~write:(fun path rs -> log_from path rs 0)
+    ~reopen:log_from (list_of gen_event)
+
+(* A lost state record is re-derived, so only the run records are
+   compared. *)
+let checkpoint_tail_heal =
+  tail_heal ~count:3 "checkpoint: every tail cut recovers a run prefix"
+    S.Supervisor.checkpoint ~item:"run"
+    ~same:(fun a b -> a.S.Supervisor.records = b.S.Supervisor.records)
+    ~prefix:(fun c k ->
+      Some { c with S.Supervisor.records = take k c.S.Supervisor.records })
+    ~write:S.Supervisor.save
+    QCheck.Gen.(
+      map2 (fun seed runs -> campaign ~runs ~seed F.heavy) (int_range 1 1000)
+        (int_range 3 5))
+
+(* One record: any cut loses it, so the file is moved aside. *)
+let manifest_tail_heal =
+  let gen_spec =
+    let open QCheck.Gen in
+    let* bench = oneofl [ "mcf"; "bzip2"; "gcc" ] in
+    let* runs = nat in
+    let* seed = nat in
+    let* scale = float_range 0.01 4.0 in
+    let* opt = oneofl [ "O0"; "O1"; "O2"; "O3" ] in
+    let* faults = oneofl [ "none"; "light"; "heavy" ] in
+    let* storage_seed = nat in
+    let* ledger = bool in
+    let* trace = bool in
+    return
+      {
+        Spool.default_spec with
+        Spool.bench;
+        runs;
+        seed;
+        scale;
+        opt;
+        faults;
+        storage_seed;
+        ledger;
+        trace;
+      }
+  in
+  tail_heal "manifest: every tail cut is moved aside" Spool.manifest
+    ~item:"spec"
+    ~prefix:(fun spec k -> if k = 1 then Some spec else None)
+    ~write:(Dr.write Spool.manifest) gen_spec
+
 let () =
   Alcotest.run "store"
     [
@@ -965,7 +1199,7 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "container round-trip" `Quick checkpoint_is_container;
-          Alcotest.test_case "legacy JSON loads" `Quick legacy_json_still_loads;
+          Alcotest.test_case "legacy JSON refused" `Quick legacy_json_refused;
           Alcotest.test_case "truncation fuzz (every offset)" `Quick
             checkpoint_truncation_fuzz;
           Alcotest.test_case "bit-flip fuzz (every offset)" `Quick
@@ -998,6 +1232,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest fuzzlog_tail_heal;
           QCheck_alcotest.to_alcotest sweeplog_tail_heal;
+          QCheck_alcotest.to_alcotest ledger_tail_heal;
+          QCheck_alcotest.to_alcotest oplog_tail_heal;
+          QCheck_alcotest.to_alcotest checkpoint_tail_heal;
+          QCheck_alcotest.to_alcotest manifest_tail_heal;
         ] );
       ( "fsck",
         [ Alcotest.test_case "golden exit codes and lines" `Quick fsck_golden ]

@@ -213,18 +213,20 @@ let with_temp f =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 let checkpoint_roundtrip () =
-  let c = campaign ~seed:21 F.heavy in
-  match S.Supervisor.of_json (S.Supervisor.to_json c) with
-  | Error e -> Alcotest.failf "of_json: %s" e
-  | Ok c' ->
-      check_bool "records" true (c.S.Supervisor.records = c'.S.Supervisor.records);
-      check_bool "quarantine" true
-        (c.S.Supervisor.quarantined = c'.S.Supervisor.quarantined);
-      check_bool "budgets" true
-        (c.S.Supervisor.budget_cycles = c'.S.Supervisor.budget_cycles
-        && c.S.Supervisor.budget_fuel = c'.S.Supervisor.budget_fuel);
-      check_bool "reference" true
-        (c.S.Supervisor.reference = c'.S.Supervisor.reference)
+  with_temp (fun path ->
+      let c = campaign ~seed:21 F.heavy in
+      S.Supervisor.save path c;
+      match S.Supervisor.load path with
+      | Error e -> Alcotest.failf "load: %s" e
+      | Ok c' ->
+          check_bool "records" true (c.S.Supervisor.records = c'.S.Supervisor.records);
+          check_bool "quarantine" true
+            (c.S.Supervisor.quarantined = c'.S.Supervisor.quarantined);
+          check_bool "budgets" true
+            (c.S.Supervisor.budget_cycles = c'.S.Supervisor.budget_cycles
+            && c.S.Supervisor.budget_fuel = c'.S.Supervisor.budget_fuel);
+          check_bool "reference" true
+            (c.S.Supervisor.reference = c'.S.Supervisor.reference))
 
 let checkpoint_file_roundtrip () =
   with_temp (fun path ->
