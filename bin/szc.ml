@@ -111,18 +111,16 @@ let lookup_bench name scale =
   | Some prof -> Ok (Stz_workloads.Profile.scale scale prof)
   | None -> Error (`Msg (Printf.sprintf "unknown benchmark %S; try `szc list'" name))
 
-let faults_term =
-  let fault_conv =
-    Arg.conv
-      ( (fun s ->
-          match Stz_faults.Fault.profile_of_string s with
-          | Ok p -> Ok p
-          | Error e -> Error (`Msg e)),
-        fun fmt p -> Format.pp_print_string fmt (Stz_faults.Fault.fingerprint p) )
-  in
+(* Campaign spec options in their manifest spelling: `szc campaign'
+   and `szc remote submit' hand them to Job.resolve as they are. *)
+let spec_opt_term =
   Arg.(
-    value
-    & opt fault_conv Stz_faults.Fault.none
+    value & opt string "O2"
+    & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"Optimization level (O0..O3).")
+
+let spec_faults_term =
+  Arg.(
+    value & opt string "none"
     & info [ "faults" ] ~docv:"PROFILE"
         ~doc:
           "Fault-injection profile: none, light, heavy, chaos, or a \
@@ -131,19 +129,12 @@ let faults_term =
            it is only survivable with $(b,--jobs) >= 2, where the pool \
            watchdog kills the hung worker and censors the run.")
 
+let faults_term =
+  Term.(term_result' (const Stz_faults.Fault.profile_of_string $ spec_faults_term))
+
 let storage_faults_term =
-  let storage_conv =
-    Arg.conv
-      ( (fun s ->
-          match Stz_faults.Storage.profile_of_string s with
-          | Ok p -> Ok p
-          | Error e -> Error (`Msg e)),
-        fun fmt p ->
-          Format.pp_print_string fmt (Stz_faults.Storage.fingerprint p) )
-  in
   Arg.(
-    value
-    & opt storage_conv Stz_faults.Storage.none
+    value & opt string "none"
     & info [ "storage-faults" ] ~docv:"PROFILE"
         ~doc:
           "Storage fault-injection profile applied to every artifact write \
@@ -847,138 +838,35 @@ let fsck_cmd =
 (* ------------------------------------------------------------------ *)
 
 let campaign_cmd =
-  let run bench runs seed scale opt csv config profile min_n retries checkpoint
-      resume quiet jobs trace metrics lanes storage_faults storage_seed
-      monitor_live ledger =
-    let* prof = lookup_bench bench scale in
-    let p = Stz_workloads.Generate.program prof in
-    let telemetry =
-      Option.map (fun _ -> Stz_telemetry.Trace.create ~lanes ()) trace
+  let run bench runs seed scale opt csv config faults min_n retries checkpoint
+      resume quiet jobs trace metrics lanes storage_faults storage_seed live
+      ledger =
+    let* job =
+      Result.map_error
+        (fun e -> `Msg e)
+        (Stabilizer.Job.resolve ~bench ~scale ~opt ~faults ~storage_faults
+           ~storage_seed ~seed ~runs ~retries ~min_n)
     in
-    (* The monitor is armed by --monitor (live status) and by --ledger
-       (its final verdict goes into the history entry). *)
-    let monitor =
-      if monitor_live || ledger <> None then
-        Some (Stz_monitor.Monitor.create ())
-      else None
+    let { Stabilizer.Job.exit_code; line } =
+      Stabilizer.Job.run ~config ~jobs ~lanes ?checkpoint ~resume ?trace
+        ?metrics ?csv ?ledger ~live
+        ~progress:(fun _ line -> if not quiet then print_endline line)
+        ~say:print_endline job
     in
-    if Stz_faults.Storage.active storage_faults then
-      Stz_faults.Storage.arm ~seed:(Int64.of_int storage_seed) storage_faults;
-    Fun.protect ~finally:Stz_faults.Storage.disarm @@ fun () ->
-    match
-      Stabilizer.Driver.campaign ~policy:(policy_of retries) ~profile ~jobs
-        ?checkpoint ~resume ?telemetry ?monitor
-        ~on_record:(fun r ->
-          if not quiet then
-            Printf.printf "run %3d: %s%s\n%!" r.Stabilizer.Supervisor.run
-              (match r.Stabilizer.Supervisor.outcome with
-              | Stabilizer.Supervisor.Done d ->
-                  Printf.sprintf "%10d cycles (%.6f s)" d.Stabilizer.Supervisor.cycles
-                    d.Stabilizer.Supervisor.seconds
-              | Stabilizer.Supervisor.Trapped (cls, _) ->
-                  "censored: " ^ Stz_faults.Fault.class_to_string cls
-              | Stabilizer.Supervisor.Budget_exceeded _ ->
-                  "censored: budget-exceeded"
-              | Stabilizer.Supervisor.Invalid_result _ ->
-                  "censored: invalid-result"
-              | Stabilizer.Supervisor.Worker_lost -> "censored: worker-lost"
-              | Stabilizer.Supervisor.Worker_hung -> "censored: worker-hung")
-              (if r.Stabilizer.Supervisor.retries > 0 then
-                 Printf.sprintf "  (retries=%d)" r.Stabilizer.Supervisor.retries
-               else "");
-          (* Records are delivered in run order whatever --jobs is, and
-             the monitor was updated just before this callback, so the
-             status stream is byte-identical across worker counts. *)
-          match (monitor_live, monitor) with
-          | true, Some m ->
-              Printf.printf "%s\n%!" (Stz_monitor.Monitor.status_line m)
-          | _ -> ())
-        ~config ~opt ~base_seed:(Int64.of_int seed) ~runs
-        ~args:Stz_workloads.Generate.default_args p
-    with
-    | exception Stabilizer.Supervisor.Mismatch msg ->
-        Printf.eprintf "szc: campaign aborted: %s\n" msg;
-        Ok 3
-    | campaign ->
-        let summary = Stabilizer.Supervisor.summarize campaign in
-        (match (trace, telemetry) with
-        | Some path, Some tr ->
-            write_file path
-              (Stz_telemetry.Export.chrome_string
-                 (Stz_telemetry.Trace.events tr))
-        | _ -> ());
-        (match metrics with
-        | Some path ->
-            write_file path
-              (Stz_telemetry.Metrics.snapshot
-                 (Stabilizer.Rollup.of_campaign campaign))
-        | None -> ());
-        (match csv with
-        | Some path ->
-            write_file path (Stabilizer.Report.csv_of_campaign campaign)
-        | None -> ());
-        Printf.printf "# %s under %s, %s, %d runs, faults %s\n" bench
-          (Stabilizer.Config.describe config)
-          (Stz_vm.Opt.level_to_string opt)
-          runs
-          (Stz_faults.Fault.fingerprint profile);
-        Printf.printf "%s\n" (Stabilizer.Report.campaign_line summary);
-        let times = Stabilizer.Supervisor.times campaign in
-        if Array.length times > 0 then
-          Printf.printf "%s\n" (Stabilizer.Report.summary_line times);
-        (match monitor with
-        | Some m when monitor_live ->
-            Printf.printf "monitor verdict: %s\n"
-              (Stz_monitor.Monitor.verdict_to_string
-                 (Stz_monitor.Monitor.advise m))
-        | _ -> ());
-        let* () =
-          match ledger with
-          | None -> Ok ()
-          | Some path -> (
-              let fp =
-                Stabilizer.History.fingerprint ~bench ~opt ~scale campaign
-              in
-              let verdict =
-                match monitor with
-                | Some m ->
-                    Stz_monitor.Monitor.verdict_to_string
-                      (Stz_monitor.Monitor.advise m)
-                | None -> "-"
-              in
-              let entry =
-                Stabilizer.History.entry_of_campaign ~verdict ~label:bench
-                  ~fingerprint:fp campaign
-              in
-              match Stz_store.Ledger.append path entry with
-              | Ok seq ->
-                  Printf.printf "ledger: entry %d appended to %s\n" seq path;
-                  Ok ()
-              | Error e ->
-                  Error (`Msg (Printf.sprintf "ledger %s: %s" path e)))
-        in
-        if summary.Stabilizer.Supervisor.completed = 0 then begin
-          Printf.eprintf "szc: campaign aborted: every run was censored\n";
-          Ok 3
-        end
-        else if summary.Stabilizer.Supervisor.completed < min_n then begin
-          Printf.printf
-            "no verdict possible: %d uncensored runs, need %d (exit 2)\n"
-            summary.Stabilizer.Supervisor.completed min_n;
-          Ok 2
-        end
-        else Ok 0
+    if exit_code = 3 then Printf.eprintf "szc: %s\n" line;
+    Ok exit_code
   in
   let term =
     Term.(
       term_result
-        (const run $ bench_arg $ runs_term $ seed_term $ scale_term $ opt_term
+        (const run $ bench_arg $ runs_term $ seed_term $ scale_term
+        $ spec_opt_term
         $ Arg.(
             value
             & opt (some string) None
             & info [ "csv" ] ~docv:"FILE"
                 ~doc:"Write the long-format outcome CSV (one row per run).")
-        $ config_term $ faults_term $ min_n_term $ retries_term
+        $ config_term $ spec_faults_term $ min_n_term $ retries_term
         $ Arg.(
             value
             & opt (some string) None
@@ -1487,11 +1375,11 @@ let remote_submit_cmd =
         trace;
       }
     in
-    match Stz_daemon.Spool.validate spec with
+    match Stz_daemon.Spool.resolve spec with
     | Error e ->
         Printf.eprintf "szc remote submit: %s\n" e;
         1
-    | Ok () ->
+    | Ok _ ->
         if not wait then (
           match
             remote_rpc ~socket ~deadline ~seed:retry_seed
@@ -1528,18 +1416,8 @@ let remote_submit_cmd =
       $ Arg.(
           required & pos 2 (some string) None
           & info [] ~docv:"BENCH" ~doc:"Benchmark name.")
-      $ runs_term $ seed_term $ scale_term
-      $ Arg.(
-          value & opt string "O2"
-          & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"Optimization level (O0..O3).")
-      $ Arg.(
-          value & opt string "none"
-          & info [ "faults" ] ~docv:"PROFILE" ~doc:"Run fault profile.")
-      $ Arg.(
-          value & opt string "none"
-          & info [ "storage-faults" ] ~docv:"PROFILE"
-              ~doc:"Storage fault profile for the runner's artifact writes.")
-      $ storage_seed_term $ retries_term $ min_n_term
+      $ runs_term $ seed_term $ scale_term $ spec_opt_term $ spec_faults_term
+      $ storage_faults_term $ storage_seed_term $ retries_term $ min_n_term
       $ flag [ "ledger" ]
           "Append a history ledger entry in the campaign's spool directory \
            (arms the monitor, as `szc campaign --ledger' does)."

@@ -256,13 +256,16 @@ let spawn_runner st ~tenant ~id ~dir ~spec ~resume ~disarm_storage ~restarts =
   let event_r, event_w = Unix.pipe () in
   flush stdout;
   flush stderr;
-  match fork_with_retry () with
+  match
+    Result.bind (Spool.resolve spec) (fun job ->
+        Result.map (fun pid -> (job, pid)) (fork_with_retry ()))
+  with
   | Error e ->
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         [ grant_r; grant_w; event_r; event_w ];
       Error e
-  | Ok 0 ->
+  | Ok (job, 0) ->
       (* Child: drop every daemon fd so a dead daemon leaves no open
          client sockets behind, then become the runner. *)
       (try Unix.close grant_w with Unix.Unix_error _ -> ());
@@ -281,8 +284,8 @@ let spawn_runner st ~tenant ~id ~dir ~spec ~resume ~disarm_storage ~restarts =
           (try Unix.close r.grant_w with Unix.Unix_error _ -> ());
           try Unix.close r.event_r with Unix.Unix_error _ -> ())
         st.runners;
-      Runner.exec ~grant_r ~event_w ~dir ~spec ~resume ~disarm_storage
-  | Ok pid ->
+      Runner.exec ~grant_r ~event_w ~dir ~spec ~job ~resume ~disarm_storage
+  | Ok (_, pid) ->
       Unix.close grant_r;
       Unix.close event_w;
       Spool.write_pid ~dir pid;
@@ -678,9 +681,9 @@ let handle_submit st ~tenant ~id ~spec =
                 Protocol.Accepted { id; state = Spool.outcome_state outcome }
             | Error _ -> resume_interrupted st ~tenant ~id ~dir ~spec)
     else
-      match Spool.validate spec with
+      match Spool.resolve spec with
       | Error reason -> Protocol.Rejected { reason }
-      | Ok () -> (
+      | Ok _ -> (
           match Quota.admit st.quota ~tenant ~runs:spec.Spool.runs with
           | Error (why, reason) -> reject_admission st ~tenant why reason
           | Ok () -> (
@@ -869,12 +872,24 @@ let recover_spool st =
     broken;
   List.iter
     (fun (e : Spool.entry) ->
-      match e.Spool.result with
-      | Some _ -> ()
-      | None ->
-          kill_stale_runner st e.Spool.entry_dir;
+      let dir = e.Spool.entry_dir in
+      if e.Spool.result = None then kill_stale_runner st dir;
+      (* A finished campaign is checked too: storage faults armed in the
+         life it finished in can have damaged its final writes. Then its
+         result goes, and the resume rewrites every artifact from the
+         checkpoint. *)
+      let repairs =
+        if e.Spool.result = Some Spool.Cancelled then [] else Spool.repair ~dir
+      in
+      match (e.Spool.result, repairs) with
+      | Some _, [] -> ()
+      | result, _ ->
+          if result <> None then begin
+            Sys.remove (Spool.result_path dir);
+            log_line st "%s/%s: finished with damaged artifacts; rewriting"
+              e.Spool.tenant e.Spool.id
+          end;
           Ops.incr st.ops "spool.recovered";
-          let repairs = Spool.repair ~dir:e.Spool.entry_dir in
           Ops.incr st.ops ~by:(List.length repairs) "spool.repair";
           List.iter (fun n -> log_line st "repair: %s" n) repairs;
           (* The admission promise was made before the crash; a restart

@@ -1,8 +1,7 @@
 (** The campaign runner: a child process forked by the daemon that
-    executes one spooled campaign through the real
-    {!Stabilizer.Driver.campaign} path and writes exactly the artifacts
-    a solo [szc campaign] invocation would — same checkpoint, CSV,
-    trace and ledger bytes. Run slots are metered by the daemon: the
+    executes one spooled campaign through {!Stabilizer.Job.run}, the
+    path a solo [szc campaign] takes, so it writes the same checkpoint,
+    CSV, trace and ledger bytes. Run slots are metered by the daemon: the
     runner's {!Stabilizer.Parallel.batched} dispatcher asks for credits
     over the event pipe ({!Want}) and blocks until a {!Grant} arrives,
     so the daemon's deficit-round-robin scheduler decides every batch
@@ -46,17 +45,21 @@ val send_grant : Unix.file_descr -> grant -> bool
     atomically, so the bytes of a started message are already there. *)
 val read_event : Unix.file_descr -> event option
 
-(** Execute the campaign in [dir] per [spec]; never returns (calls
-    [exit]). Must be called in a freshly forked child. [resume]
-    continues from the spooled checkpoint; [disarm_storage] forces
-    storage-fault injection off regardless of the spec — set on
-    crash-recovery resumes, where the fault stream's position is lost
-    (mirrors [check_recovery.sh]'s faults-off resume). *)
+(** Execute [job], resolved from [spec], in [dir] through
+    {!Stabilizer.Job.run}; never returns (calls [exit]). Must be called
+    in a freshly forked child. [spec] only chooses whether the trace and
+    ledger are kept. [resume] continues from the spooled checkpoint and
+    first drops any spool ledger, which only an interrupted finish can
+    have left; [disarm_storage] forces storage-fault injection off
+    regardless of the spec — set on crash-recovery resumes, where the
+    fault stream's position is lost (mirrors [check_recovery.sh]'s
+    faults-off resume). *)
 val exec :
   grant_r:Unix.file_descr ->
   event_w:Unix.file_descr ->
   dir:string ->
   spec:Spool.spec ->
+  job:Stabilizer.Job.t ->
   resume:bool ->
   disarm_storage:bool ->
   'a

@@ -92,31 +92,11 @@ let spec_of_json j =
       trace;
     }
 
-let validate s =
-  let* () =
-    if s.runs >= 1 then Ok ()
-    else Error (Printf.sprintf "runs must be >= 1 (got %d)" s.runs)
-  in
-  let* () =
-    if s.retries >= 0 && s.min_n >= 0 then Ok ()
-    else Error "retries and min_n must be >= 0"
-  in
-  let* () =
-    if s.scale > 0.0 && Float.is_finite s.scale then Ok ()
-    else Error "scale must be a positive finite float"
-  in
-  let* () =
-    match Stz_workloads.Spec.find s.bench with
-    | Some _ -> Ok ()
-    | None -> Error (Printf.sprintf "unknown benchmark %S" s.bench)
-  in
-  let* () =
-    match Stz_vm.Opt.level_of_string s.opt with
-    | Some _ -> Ok ()
-    | None -> Error (Printf.sprintf "unknown optimization level %S" s.opt)
-  in
-  let* () = Result.map ignore (Stz_faults.Fault.profile_of_string s.faults) in
-  Result.map ignore (Stz_faults.Storage.profile_of_string s.storage_faults)
+let resolve s =
+  Stabilizer.Job.resolve ~bench:s.bench ~scale:s.scale ~opt:s.opt
+    ~faults:s.faults ~storage_faults:s.storage_faults
+    ~storage_seed:s.storage_seed ~seed:s.seed ~runs:s.runs ~retries:s.retries
+    ~min_n:s.min_n
 
 let token_ok t =
   let n = String.length t in
@@ -239,9 +219,9 @@ let scan ~spool =
           match read_manifest ~dir:d with
           | Error e -> broken := (d, e) :: !broken
           | Ok spec -> (
-              match validate spec with
+              match resolve spec with
               | Error e -> broken := (d, "invalid spec: " ^ e) :: !broken
-              | Ok () ->
+              | Ok _ ->
                   let result = Result.to_option (read_result ~dir:d) in
                   entries :=
                     { tenant; id; entry_dir = d; spec; result } :: !entries))

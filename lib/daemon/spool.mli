@@ -14,7 +14,7 @@
 
 (** What one campaign runs: the subset of [szc campaign] options a
     manifest can carry. [opt] and [faults] / [storage_faults] are kept
-    in their CLI string spellings and validated by {!validate}. *)
+    in their CLI string spellings and parsed by {!resolve}. *)
 type spec = {
   bench : string;
   runs : int;
@@ -38,9 +38,10 @@ val spec_to_json : spec -> Stz_telemetry.Json.t
 
 val spec_of_json : Stz_telemetry.Json.t -> (spec, string) result
 
-(** Reject anything a runner could not execute: unknown benchmark,
-    unparsable option strings, non-positive runs. *)
-val validate : spec -> (unit, string) result
+(** {!Stabilizer.Job.resolve} of the spec's fields: [Error] for
+    anything a runner could not execute (unknown benchmark, unparsable
+    option strings, non-positive runs). *)
+val resolve : spec -> (Stabilizer.Job.t, string) result
 
 val token_ok : string -> bool
 
@@ -102,7 +103,7 @@ type entry = {
 }
 
 (** Walk the spool. Campaign directories whose manifest is unreadable
-    or fails {!validate} are reported in the second list (reason
+    or fails {!resolve} are reported in the second list (reason
     attached) and left untouched for operator inspection. *)
 val scan : spool:string -> entry list * (string * string) list
 

@@ -40,30 +40,7 @@ let select_intr read_fds timeout =
   in
   go timeout
 
-(* Returns false on EOF before [len] bytes arrived. *)
-let read_exact fd buf pos len =
-  let rec go pos len =
-    if len = 0 then true
-    else
-      match Artifact.restart_on_eintr (fun () -> Unix.read fd buf pos len) with
-      | 0 -> false
-      | k -> go (pos + k) (len - k)
-  in
-  go pos len
-
-(* One marshalled message, or None on EOF / truncation (worker died
-   mid-write; the partial payload is discarded). *)
-let read_message fd =
-  let header = Bytes.create Marshal.header_size in
-  if not (read_exact fd header 0 Marshal.header_size) then None
-  else
-    let data_len = Marshal.data_size header 0 in
-    let buf = Bytes.create (Marshal.header_size + data_len) in
-    Bytes.blit header 0 buf 0 Marshal.header_size;
-    if not (read_exact fd buf Marshal.header_size data_len) then None
-    else Some (Marshal.from_bytes buf 0)
-
-let send fd (m : _ msg) = Artifact.write_exact fd (Marshal.to_string m [])
+let send fd (m : _ msg) = Artifact.write_value fd m
 
 (* Set inside a forked worker, never in the parent: [beat] is a no-op
    on the in-process path and in the pool's parent process, so callers
@@ -236,7 +213,7 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
       (try ignore (Artifact.restart_on_eintr (fun () -> Unix.waitpid [] w.pid))
        with Unix.Unix_error _ -> ());
       let rec drain () =
-        match read_message w.fd with
+        match Artifact.read_value w.fd with
         | Some (Beat _) -> drain ()
         | Some (Done (i, v)) ->
             deliver w i v;
@@ -274,7 +251,7 @@ let map ?on_result ?on_pool_event ?watchdog ~jobs ~f n =
             match List.find_opt (fun w -> w.fd = fd) !workers with
             | None -> () (* already reaped in this round *)
             | Some w -> (
-                match read_message fd with
+                match Artifact.read_value fd with
                 | Some m -> handle_message w m
                 | None -> handle_eof w))
           ready;

@@ -25,6 +25,27 @@ let write_exact fd s =
   in
   go 0
 
+let write_value fd v = write_exact fd (Marshal.to_string v [])
+
+let read_value fd =
+  let rec fill buf pos =
+    if pos >= Bytes.length buf then true
+    else
+      match
+        restart_on_eintr (fun () -> Unix.read fd buf pos (Bytes.length buf - pos))
+      with
+      | 0 -> false
+      | k -> fill buf (pos + k)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
+        ->
+          false
+  in
+  let header = Bytes.create Marshal.header_size in
+  if not (fill header 0) then None
+  else
+    let buf = Bytes.extend header 0 (Marshal.data_size header 0) in
+    if fill buf Marshal.header_size then Some (Marshal.from_bytes buf 0) else None
+
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);

@@ -68,6 +68,18 @@ val restart_on_eintr : (unit -> 'a) -> 'a
     the incremental ledgers and the pipe and socket writers. *)
 val write_exact : Unix.file_descr -> string -> unit
 
+(** [write_value fd v] writes [v] as one [Marshal] frame with
+    {!write_exact}: the pipe framing of the fork pool and the daemon's
+    runners. A frame below [PIPE_BUF] is one atomic write. *)
+val write_value : Unix.file_descr -> 'a -> unit
+
+(** [read_value fd] reads the next {!write_value} frame, restarting on
+    [EINTR]. [None] on EOF, on a truncated frame (the writer died
+    mid-write), or when the peer is gone ([EPIPE], [ECONNRESET],
+    [EBADF]). Unsafe like [Marshal.from_bytes]: the caller names the
+    type the writer sent. *)
+val read_value : Unix.file_descr -> 'a option
+
 (** [mkdir_p dir] creates [dir] and any missing parents (mode 0755);
     an existing directory is left alone. Raises [Unix.Unix_error] on
     real failure. *)

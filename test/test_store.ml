@@ -451,6 +451,42 @@ let ledger_round_trip () =
       | Ok _ -> Alcotest.fail "payload: one entry expected"
       | Error err -> Alcotest.failf "payload: %s" err)
 
+(* `szc campaign --ledger F' when F cannot take the entry: the campaign
+   still reports, then ends with one `ledger F: ...' line on stderr and
+   exit 3 (aborted), whether F is corrupt or cannot be written. *)
+let campaign_ledger_failure ~ledger =
+  let err = Filename.temp_file "stz-store" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s campaign bzip2 --runs 3 --scale 0.05 --quiet --ledger %s \
+          >/dev/null 2>%s"
+         (Filename.quote szc_exe) (Filename.quote ledger) (Filename.quote err))
+  in
+  check_int "campaign exits 3" 3 code;
+  let prefix = Printf.sprintf "szc: ledger %s: " ledger in
+  let text = read_file err in
+  check_bool
+    (Printf.sprintf "stderr is one %S line (got %S)" prefix text)
+    true
+    (String.length text > String.length prefix
+    && String.sub text 0 (String.length prefix) = prefix
+    && String.index text '\n' = String.length text - 1)
+
+let campaign_ledger_corrupt_exits_3 () =
+  with_temp (fun path ->
+      let junk = "not a ledger\n" in
+      let oc = open_out_bin path in
+      output_string oc junk;
+      close_out oc;
+      campaign_ledger_failure ~ledger:path;
+      check_string "corrupt ledger left byte-identical" junk (read_file path))
+
+let campaign_ledger_unwritable_exits_3 () =
+  with_temp (fun path ->
+      campaign_ledger_failure ~ledger:(Filename.concat path "ledger"))
+
 let ledger_refuses_corrupt_append () =
   with_temp (fun path ->
       (match Ledger.append path (sample_entry 0) with
@@ -1214,6 +1250,10 @@ let () =
           Alcotest.test_case "round-trip + sequence" `Quick ledger_round_trip;
           Alcotest.test_case "append refuses corruption" `Quick
             ledger_refuses_corrupt_append;
+          Alcotest.test_case "campaign: corrupt ledger exits 3" `Quick
+            campaign_ledger_corrupt_exits_3;
+          Alcotest.test_case "campaign: unwritable ledger exits 3" `Quick
+            campaign_ledger_unwritable_exits_3;
           Alcotest.test_case "truncation fuzz (every offset)" `Quick
             ledger_truncation_fuzz;
           Alcotest.test_case "bit-flip fuzz (every offset)" `Quick
