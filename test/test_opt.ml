@@ -281,6 +281,101 @@ let cse_reuses_repeated_load () =
   let v, _, _ = run_plain q [] in
   check_int "value" 18 v
 
+(* A holder overwritten between two equal expressions no longer holds
+   the value: the second computation must stay. *)
+let cse_redefined_holder_not_reused () =
+  let p =
+    single ~n_regs:5
+      [
+        Ir.Mov (0, Ir.Imm 4);
+        Ir.Mov (1, Ir.Imm 5);
+        Ir.Bin (Ir.Add, 2, Ir.Reg 0, Ir.Reg 1);
+        Ir.Mov (2, Ir.Imm 100) (* the holder is redefined *);
+        Ir.Bin (Ir.Add, 3, Ir.Reg 0, Ir.Reg 1);
+        Ir.Bin (Ir.Add, 4, Ir.Reg 2, Ir.Reg 3);
+        Ir.Ret (Ir.Reg 4);
+      ]
+  in
+  let q = O.cse_local p in
+  (match List.nth (instrs_of q) 4 with
+  | Ir.Bin (Ir.Add, 3, Ir.Reg 0, Ir.Reg 1) -> ()
+  | _ -> Alcotest.fail "stale holder reused");
+  let v, _, _ = run_plain q [] in
+  check_int "100 + 9" 109 v
+
+(* Two equal loads with a memory side effect between them: the second
+   must reload, whichever of the four clobbers sits in the middle. *)
+let cse_load_kept_across_clobbers () =
+  let leaf =
+    let b = B.func ~fid:1 ~name:"leaf" ~n_args:0 ~frame_size:16 () in
+    B.emit b (Ir.Ret (Ir.Imm 0));
+    B.finish b
+  in
+  List.iter
+    (fun (name, clobber) ->
+      let main =
+        let b = B.func ~fid:0 ~name:"main" ~n_args:0 ~frame_size:64 () in
+        let base = B.fresh_reg b and x = B.fresh_reg b and y = B.fresh_reg b in
+        let aux = B.fresh_reg b and spare = B.fresh_reg b in
+        B.emit b (Ir.Malloc (aux, Ir.Imm 32));
+        B.emit b (Ir.Frame (base, 0));
+        B.emit b (Ir.Store (base, 0, Ir.Imm 7));
+        B.emit b (Ir.Load (x, base, 0));
+        B.emit b (clobber ~aux ~spare);
+        B.emit b (Ir.Load (y, base, 0));
+        let out = B.fresh_reg b in
+        B.emit b (Ir.Bin (Ir.Add, out, Ir.Reg x, Ir.Reg y));
+        B.emit b (Ir.Ret (Ir.Reg out));
+        B.finish b
+      in
+      let p = B.program ~funcs:[ main; leaf ] ~globals:[] ~entry:0 in
+      let q = O.cse_local p in
+      let loads =
+        List.filter
+          (function Ir.Load _ -> true | _ -> false)
+          (instrs_of q)
+      in
+      check_int (name ^ ": both loads kept") 2 (List.length loads))
+    [
+      ("store", fun ~aux ~spare:_ -> Ir.Store (aux, 0, Ir.Imm 1));
+      ("call", fun ~aux:_ ~spare -> Ir.Call { fn = 1; args = []; dst = spare });
+      ("malloc", fun ~aux:_ ~spare -> Ir.Malloc (spare, Ir.Imm 16));
+      ("free", fun ~aux ~spare:_ -> Ir.Free aux);
+    ]
+
+(* A call clobbers memory, not registers other than its destination:
+   pure arithmetic on unchanged operands is still reused across it. *)
+let cse_arith_reused_across_call () =
+  let leaf =
+    let b = B.func ~fid:1 ~name:"leaf" ~n_args:0 ~frame_size:16 () in
+    B.emit b (Ir.Ret (Ir.Imm 3));
+    B.finish b
+  in
+  let main =
+    let b = B.func ~fid:0 ~name:"main" ~n_args:0 ~frame_size:32 () in
+    let a = B.fresh_reg b and c = B.fresh_reg b in
+    let s1 = B.fresh_reg b and r = B.fresh_reg b and s2 = B.fresh_reg b in
+    B.emit b (Ir.Mov (a, Ir.Imm 6));
+    B.emit b (Ir.Mov (c, Ir.Imm 7));
+    B.emit b (Ir.Bin (Ir.Mul, s1, Ir.Reg a, Ir.Reg c));
+    B.emit b (Ir.Call { fn = 1; args = []; dst = r });
+    B.emit b (Ir.Bin (Ir.Mul, s2, Ir.Reg a, Ir.Reg c));
+    let t = B.fresh_reg b and out = B.fresh_reg b in
+    B.emit b (Ir.Bin (Ir.Add, t, Ir.Reg s1, Ir.Reg s2));
+    B.emit b (Ir.Bin (Ir.Add, out, Ir.Reg t, Ir.Reg r));
+    B.emit b (Ir.Ret (Ir.Reg out));
+    B.finish b
+  in
+  let p = B.program ~funcs:[ main; leaf ] ~globals:[] ~entry:0 in
+  let q = O.cse_local p in
+  (match List.nth (instrs_of q) 4 with
+  | Ir.Mov (d, Ir.Reg h) when d = 4 && h = 2 -> ()
+  | i ->
+      Alcotest.failf "expected the product reused across the call, got %s"
+        (match i with Ir.Bin _ -> "a recomputation" | _ -> "another rewrite"));
+  let v, _, _ = run_plain q [] in
+  check_int "42 + 42 + 3" 87 v
+
 (* ------------------------------------------------------------------ *)
 (* Inlining                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -566,6 +661,55 @@ let level_strings () =
         (Option.map O.level_to_string (O.level_of_string (O.level_to_string l))))
     [ O.O0; O.O1; O.O2; O.O3 ]
 
+(* ------------------------------------------------------------------ *)
+(* Pinned pipeline output                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The O1-O3 pipelines byte for byte: one digest per (corpus, level)
+   over the Text rendering of every output, so a rewrite of any pass
+   that claims identical output is held to it. The corpus is 200 fuzz
+   plans (fuzz_seed 5) and the 18 SPEC clones at scale 0.3. *)
+let golden_pipeline_digests =
+  [
+    ("fuzz/O1", "815ae4c91b0e22f0cfc7ef92cd05a94c");
+    ("fuzz/O2", "24bd41e6b5bb8c893cd6510a1d6651d4");
+    ("fuzz/O3", "fbda029036a9632dcc45a88b4c17e009");
+    ("spec/O1", "940be524ea8f9330da1d0b931d735aac");
+    ("spec/O2", "24b27818586188309afe4b2b6e503d59");
+    ("spec/O3", "ffb742317ca519f5bfe742f1a1425947");
+  ]
+
+let pipeline_output_pinned () =
+  let module W = Stz_workloads in
+  let corpora =
+    [
+      ( "fuzz",
+        List.init 200 (fun index ->
+            W.Fuzz.build (W.Fuzz.plan ~fuzz_seed:5L ~index)) );
+      ( "spec",
+        List.map (fun prof -> W.Generate.program (W.Profile.scale 0.3 prof)) W.Spec.all
+      );
+    ]
+  in
+  let actual =
+    List.concat_map
+      (fun (name, progs) ->
+        List.map
+          (fun lvl ->
+            let per_program p =
+              Digest.string
+                (match O.apply lvl p with
+                | q -> Stz_vm.Text.to_string q
+                | exception e -> "raised " ^ Printexc.to_string e)
+            in
+            ( name ^ "/" ^ O.level_to_string lvl,
+              Digest.to_hex (Digest.string (String.concat "" (List.map per_program progs))) ))
+          [ O.O1; O.O2; O.O3 ])
+      corpora
+  in
+  Alcotest.(check (list (pair string string)))
+    "pipeline output digests" golden_pipeline_digests actual
+
 let () =
   Alcotest.run "opt"
     [
@@ -588,6 +732,12 @@ let () =
           Alcotest.test_case "self-referential" `Quick cse_self_referential_key;
           Alcotest.test_case "store invalidates load" `Quick cse_load_invalidated_by_store;
           Alcotest.test_case "reuses repeated load" `Quick cse_reuses_repeated_load;
+          Alcotest.test_case "redefined holder not reused" `Quick
+            cse_redefined_holder_not_reused;
+          Alcotest.test_case "load kept across clobbers" `Quick
+            cse_load_kept_across_clobbers;
+          Alcotest.test_case "arithmetic reused across call" `Quick
+            cse_arith_reused_across_call;
         ] );
       ( "inline",
         [
@@ -615,5 +765,6 @@ let () =
           Alcotest.test_case "levels reduce work" `Quick levels_reduce_work;
           Alcotest.test_case "O3 strips dead" `Quick o3_strips_dead_functions;
           Alcotest.test_case "level strings" `Quick level_strings;
+          Alcotest.test_case "output pinned" `Quick pipeline_output_pinned;
         ] );
     ]
