@@ -379,6 +379,81 @@ let report_csv_header_golden () =
         data
 
 (* ------------------------------------------------------------------ *)
+(* Campaign bytes pinned across the reference probe                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A campaign's artifacts, pinned: the checkpoint file, the outcome CSV
+   and the deterministic Chrome trace, under a profile that arms run 0
+   (fuel starvation on every run) and under no faults at all. Every
+   combination of --jobs 1/2 and traced/dark must write the same
+   records, checkpoint and CSV, and the traced runs the same trace. *)
+let golden_campaign_bytes =
+  [
+    ( "fuel",
+      ( "2fc9660a087e8cd36872ae84c08462e2",
+        "c518e0afcdd8a403260e4093fa3f45ec",
+        "ca17a228430478daea8f0203c889d6f4" ) );
+    ( "none",
+      ( "307016c15709c0bd2f567f4db3d254cc",
+        "ff5fcd9d9d0dd3551821a0cd81f2a618",
+        "3c4c8684192392ce75e425bd6d06bbd7" ) );
+  ]
+
+let campaign_bytes_pinned () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let actual =
+    List.map
+      (fun (name, profile) ->
+        let variants =
+          List.concat_map
+            (fun jobs ->
+              List.map
+                (fun traced ->
+                  let path = Filename.temp_file "szc-pin" ".ckpt" in
+                  let tr =
+                    if traced then Some (Stz_telemetry.Trace.create ()) else None
+                  in
+                  let c =
+                    S.Supervisor.run_campaign ~policy ~profile ~jobs
+                      ~checkpoint:path ?telemetry:tr ~config ~base_seed:77L
+                      ~runs:6 ~args (Lazy.force program)
+                  in
+                  let ckpt = read path in
+                  Sys.remove path;
+                  ( c.S.Supervisor.records,
+                    hex ckpt,
+                    hex (S.Report.csv_of_campaign c),
+                    Option.map
+                      (fun tr ->
+                        hex
+                          (Stz_telemetry.Export.chrome_string
+                             (Stz_telemetry.Trace.events tr)))
+                      tr ))
+                [ false; true ])
+            [ 1; 2 ]
+        in
+        match variants with
+        | (records, ckpt, csv, _) :: _ ->
+            List.iter
+              (fun (r, k, v, _) ->
+                check_bool (name ^ ": records agree") true (r = records);
+                Alcotest.(check string) (name ^ ": checkpoint agrees") ckpt k;
+                Alcotest.(check string) (name ^ ": csv agrees") csv v)
+              variants;
+            let traces = List.filter_map (fun (_, _, _, t) -> t) variants in
+            let trace = List.hd traces in
+            List.iter
+              (Alcotest.(check string) (name ^ ": trace agrees") trace)
+              traces;
+            (name, (ckpt, csv, trace))
+        | [] -> assert false)
+      [ ("fuel", { F.none with F.fuel_starvation = 1.0 }); ("none", F.none) ]
+  in
+  Alcotest.(check (list (pair string (triple string string string))))
+    "checkpoint, csv and trace digests" golden_campaign_bytes actual
+
+(* ------------------------------------------------------------------ *)
 (* Profiles and JSON plumbing                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -479,6 +554,8 @@ let () =
             report_campaign_line_and_csv;
           Alcotest.test_case "csv header golden" `Quick
             report_csv_header_golden;
+          Alcotest.test_case "campaign bytes pinned" `Quick
+            campaign_bytes_pinned;
         ] );
       ( "plumbing",
         [
