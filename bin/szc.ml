@@ -106,10 +106,8 @@ let config_term =
         value & opt int 0
         & info [ "env-bytes" ] ~docv:"BYTES" ~doc:"Environment block size (shifts the stack)."))
 
-let lookup_bench name scale =
-  match Stz_workloads.Spec.find name with
-  | Some prof -> Ok (Stz_workloads.Profile.scale scale prof)
-  | None -> Error (`Msg (Printf.sprintf "unknown benchmark %S; try `szc list'" name))
+let lookup_bench bench scale =
+  Result.map_error (fun e -> `Msg e) (Stabilizer.Job.workload ~bench ~scale)
 
 (* Campaign spec options in their manifest spelling: `szc campaign'
    and `szc remote submit' hand them to Job.resolve as they are. *)

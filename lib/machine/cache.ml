@@ -150,8 +150,12 @@ let flush t =
   | None -> ()
   | Some a -> Array.fill a.line_owner 0 (Array.length a.line_owner) (-1)
 
+(* The LRU stamps go back to 0 with the clock: a stamp left from before
+   the reset would outrank every line installed after it, so the new
+   lines would be evicted ahead of stale invalid ways. *)
 let reset t =
   flush t;
+  Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.accesses <- 0;
   t.misses <- 0;
   t.clock <- 0;

@@ -27,7 +27,10 @@ val probe : t -> int -> bool
 val accesses : t -> int
 val misses : t -> int
 
-(** Invalidate all lines and clear statistics. *)
+(** Invalidate all lines, clear statistics and restart LRU order: the
+    cache then answers every access stream exactly as a freshly
+    created one would. An armed recorder stays armed, with its tables
+    zeroed. *)
 val reset : t -> unit
 
 (** Invalidate all lines, keep statistics. *)

@@ -97,7 +97,9 @@ val cost : t -> Cost.t
     clearing counters. *)
 val flush : t -> unit
 
-(** Fresh machine state and counters. *)
+(** Fresh machine state and counters: every cache, TLB and the
+    predictor answer as on a newly created machine of the same
+    configuration, so a reset machine can stand in for [create]. *)
 val reset : t -> unit
 
 (** {1 Conflict attribution}

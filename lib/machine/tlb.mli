@@ -23,6 +23,7 @@ val misses : t -> int
 (** Drop all translations, keep statistics. *)
 val flush : t -> unit
 
+(** Back to the freshly created state: {!Cache.reset}. *)
 val reset : t -> unit
 
 (** {1 Conflict attribution}

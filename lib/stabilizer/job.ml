@@ -19,19 +19,20 @@ type t = {
 let ( let* ) = Result.bind
 let check ok msg = if ok then Ok () else Error msg
 
-let resolve ~bench ~scale ~opt ~faults ~storage_faults ~storage_seed ~seed
-    ~runs ~retries ~min_n =
-  let* () = check (runs >= 1) (Printf.sprintf "runs must be >= 1 (got %d)" runs) in
-  let* () = check (retries >= 0 && min_n >= 0) "retries and min_n must be >= 0" in
+let workload ~bench ~scale =
   let* () =
     check (scale > 0.0 && Float.is_finite scale)
       "scale must be a positive finite float"
   in
-  let* workload =
-    match Stz_workloads.Spec.find bench with
-    | Some p -> Ok (Stz_workloads.Profile.scale scale p)
-    | None -> Error (Printf.sprintf "unknown benchmark %S; try `szc list'" bench)
-  in
+  match Stz_workloads.Spec.find bench with
+  | Some p -> Ok (Stz_workloads.Profile.scale scale p)
+  | None -> Error (Printf.sprintf "unknown benchmark %S; try `szc list'" bench)
+
+let resolve ~bench ~scale ~opt ~faults ~storage_faults ~storage_seed ~seed
+    ~runs ~retries ~min_n =
+  let* () = check (runs >= 1) (Printf.sprintf "runs must be >= 1 (got %d)" runs) in
+  let* () = check (retries >= 0 && min_n >= 0) "retries and min_n must be >= 0" in
+  let* workload = workload ~bench ~scale in
   let* opt =
     Option.to_result
       ~none:(Printf.sprintf "unknown optimization level %S" opt)

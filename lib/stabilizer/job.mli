@@ -9,6 +9,11 @@
     range-checked. *)
 type t
 
+(** A benchmark's profile at [scale]: [Error] for a non-positive or
+    non-finite scale, or an unknown benchmark. The one workload lookup
+    of every command that takes a benchmark and [--scale]. *)
+val workload : bench:string -> scale:float -> (Stz_workloads.Profile.t, string) result
+
 (** The spec in its CLI/manifest spelling ([opt] ["O0".."O3"],
     [faults]/[storage_faults] profile strings). [Error] names the first
     problem: unknown benchmark, unparsable level or profile,

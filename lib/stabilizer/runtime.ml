@@ -71,11 +71,7 @@ let globals_end space p =
     (fun acc (g : Ir.global) -> acc + ((g.Ir.gsize + 15) land lnot 15))
     space.Address_space.globals_base p.Ir.globals
 
-let run ?limits ?(profile = false) ?(events = false) ?machine_factory
-    ?(env_wrap = Fun.id) ~config ~seed p ~args =
-  let machine =
-    match machine_factory with Some f -> f () | None -> Hierarchy.create ()
-  in
+let run_on machine ?limits ~profile ~events ~env_wrap ~config ~seed p ~args =
   let profiler = if profile then Some (Profiler.create p) else None in
   let rlog = if events then Some (Runlog.create ()) else None in
   let seeds = Splitmix.create seed in
@@ -316,3 +312,25 @@ let run ?limits ?(profile = false) ?(events = false) ?machine_factory
         }
       in
       raise (Trap { trap; partial; events = trap_events })
+
+(* The default machine: one per process, reset before each run instead
+   of a fresh [Hierarchy.create] (35k words of cache arrays) per run. A
+   reset hierarchy answers exactly as a new one does, so counters are
+   unchanged. A run started while another is still on it (a nested run
+   from a callback) gets a fresh machine instead. *)
+let shared_machine = lazy (Hierarchy.create ())
+let shared_busy = ref false
+
+let run ?limits ?(profile = false) ?(events = false) ?machine_factory
+    ?(env_wrap = Fun.id) ~config ~seed p ~args =
+  match machine_factory with
+  | Some f -> run_on (f ()) ?limits ~profile ~events ~env_wrap ~config ~seed p ~args
+  | None when !shared_busy ->
+      run_on (Hierarchy.create ()) ?limits ~profile ~events ~env_wrap ~config
+        ~seed p ~args
+  | None ->
+      let machine = Lazy.force shared_machine in
+      Hierarchy.reset machine;
+      shared_busy := true;
+      Fun.protect ~finally:(fun () -> shared_busy := false) @@ fun () ->
+      run_on machine ?limits ~profile ~events ~env_wrap ~config ~seed p ~args

@@ -619,20 +619,24 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
   in
   (* The reference value comes from one clean (injection-free) run; a
      campaign resumed from a checkpoint reuses the recorded decision so
-     the continuation matches the uninterrupted campaign exactly. *)
-  let reference =
+     the continuation matches the uninterrupted campaign exactly. When
+     the probe's first attempt completes, it is the very run that run
+     0's first attempt would simulate if nothing is armed there, so it
+     is kept ([probed]) to stand in for it. It records events exactly
+     when campaign runs do, for the same reason. *)
+  let reference, probed =
     match loaded with
-    | Some c -> c.reference
+    | Some c -> (c.reference, None)
     | None ->
         let rec probe k =
-          if k > policy.max_retries then None
+          if k > policy.max_retries then (None, None)
           else
             match
               timed (fun () ->
-                  Runtime.run ~limits ~config ~seed:(attempt_seed primary.(0) k)
-                    p ~args)
+                  Runtime.run ~limits ~events:tracing ~config
+                    ~seed:(attempt_seed primary.(0) k) p ~args)
             with
-            | r -> Some r.Runtime.return_value
+            | r -> (Some r.Runtime.return_value, if k = 0 then Some r else None)
             | exception ((Stack_overflow | Assert_failure _) as fatal) ->
                 raise fatal
             | exception _ -> probe (k + 1)
@@ -710,10 +714,17 @@ let run_campaign ?(policy = default_policy) ?(profile = Fault.none)
   in
   let execute seed =
     let plan = Injector.plan ~profile ~limits:(effective_limits ()) ~seed () in
-    Outcome.run ~limits:plan.Injector.limits
-      ?machine_factory:plan.Injector.machine_factory
-      ~env_wrap:plan.Injector.env_wrap ?budget_cycles:!budget_cycles ?reference
-      ~events:tracing ~config ~seed p ~args
+    match probed with
+    | Some r
+      when seed = primary.(0) && plan.Injector.armed = []
+           && (not plan.Injector.wedged) && plan.Injector.limits = limits ->
+        (* Run 0's first attempt, unarmed: the probe already ran it. *)
+        Outcome.check ?budget_cycles:!budget_cycles ?reference r
+    | _ ->
+        Outcome.run ~limits:plan.Injector.limits
+          ?machine_factory:plan.Injector.machine_factory
+          ~env_wrap:plan.Injector.env_wrap ?budget_cycles:!budget_cycles
+          ?reference ~events:tracing ~config ~seed p ~args
   in
   let store_outcome = function
     | Outcome.Completed r ->

@@ -503,6 +503,56 @@ let hierarchy_data_memo_transparent () =
   check_bool "flush clears the data memo" true
     (M.Hierarchy.data h2 0x30000008 > 0)
 
+(* Reset means fresh: dirty a structure with one random stream, reset
+   it, then replay a second stream. Every per-access answer and the
+   final counters must equal a freshly created structure's. A reset
+   that zeroed the LRU clock but kept the stamps used to evict newly
+   installed lines before stale invalid ways. The geometries are tiny
+   so that streams revisit sets. *)
+let reset_structure_is_fresh =
+  let tiny_cache name = { M.Cache.name; sets = 2; ways = 2; line_bits = 4 } in
+  let tiny_tlb name = { M.Tlb.name; entries = 4; ways = 2; page_bits = 6 } in
+  let trial which =
+    match which with
+    | 0 ->
+        let c = M.Cache.create (tiny_cache "c") in
+        ( (fun x -> if M.Cache.access c x then 1 else 0),
+          (fun () -> M.Cache.reset c),
+          fun () -> [ M.Cache.accesses c; M.Cache.misses c ] )
+    | 1 ->
+        let t = M.Tlb.create (tiny_tlb "t") in
+        ( (fun x -> if M.Tlb.access t x then 1 else 0),
+          (fun () -> M.Tlb.reset t),
+          fun () -> [ M.Tlb.accesses t; M.Tlb.misses t ] )
+    | _ ->
+        let h =
+          M.Hierarchy.create ~l1i:(tiny_cache "L1I") ~l1d:(tiny_cache "L1D")
+            ~l2:{ (tiny_cache "L2") with M.Cache.ways = 4 }
+            ~l3:{ (tiny_cache "L3") with M.Cache.sets = 4; ways = 4 }
+            ~itlb:(tiny_tlb "ITLB") ~dtlb:(tiny_tlb "DTLB") ~predictor_entries:4 ()
+        in
+        ( (fun x ->
+            match x land 3 with
+            | 0 -> M.Hierarchy.fetch h (x lsr 2)
+            | 1 -> M.Hierarchy.branch h ~pc:(x lsr 2) ~taken:(x land 4 = 0)
+            | _ -> M.Hierarchy.data h (x lsr 2)),
+          (fun () -> M.Hierarchy.reset h),
+          fun () -> List.map snd (M.Hierarchy.counters_fields (M.Hierarchy.counters h)) )
+  in
+  QCheck.Test.make ~name:"reset cache, tlb and hierarchy replay like fresh ones"
+    ~count:300
+    QCheck.(
+      triple (int_bound 2)
+        (list_of_size Gen.(0 -- 60) (int_bound 0x3FF))
+        (list_of_size Gen.(1 -- 60) (int_bound 0x3FF)))
+    (fun (which, dirty, replay) ->
+      let fresh_step, _, fresh_counters = trial which in
+      let reused_step, reset, reused_counters = trial which in
+      List.iter (fun x -> ignore (reused_step x)) dirty;
+      reset ();
+      let a = List.map fresh_step replay and b = List.map reused_step replay in
+      a = b && fresh_counters () = reused_counters ())
+
 let () =
   Alcotest.run "machine"
     [
@@ -550,5 +600,6 @@ let () =
             hierarchy_batched_fetch_identity;
           Alcotest.test_case "data memo transparent" `Quick
             hierarchy_data_memo_transparent;
+          QCheck_alcotest.to_alcotest reset_structure_is_fresh;
         ] );
     ]

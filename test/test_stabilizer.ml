@@ -471,6 +471,82 @@ let pathological_is_layout_sensitive () =
     (Printf.sprintf "link-order spread %.1f%% exceeds 10%%" (spread *. 100.))
     true (spread > 0.10)
 
+(* The default machine is one reused hierarchy, reset before each run.
+   Runs on it must match runs on a freshly created machine, in any
+   order and after a trap, and a run nested inside another (from an
+   env callback) must not share it. *)
+let fresh () = Stz_machine.Hierarchy.create ()
+
+let summary (r : S.Runtime.result) =
+  (r.S.Runtime.return_value, r.S.Runtime.counters, r.S.Runtime.relocations,
+   r.S.Runtime.epochs)
+
+let runtime_reused_machine_is_fresh () =
+  let p = Lazy.force tiny_program in
+  let cases =
+    [ (S.Config.stabilizer, 3L); (S.Config.baseline, 4L); (S.Config.code_only, 5L);
+      (S.Config.stabilizer, 3L) ]
+  in
+  (* A trapped run leaves the machine mid-flight; the next run resets it. *)
+  (match
+     S.Runtime.run ~limits:(Stz_vm.Interp.limits ~max_instructions:500 ())
+       ~config:S.Config.stabilizer ~seed:9L p ~args:[ 1 ]
+   with
+  | _ -> Alcotest.fail "expected fuel exhaustion"
+  | exception S.Runtime.Trap _ -> ());
+  List.iter
+    (fun (config, seed) ->
+      let reused = S.Runtime.run ~config ~seed p ~args:[ 1 ] in
+      let own = S.Runtime.run ~machine_factory:fresh ~config ~seed p ~args:[ 1 ] in
+      check_bool (S.Config.describe config ^ ": same as a fresh machine") true
+        (summary reused = summary own))
+    cases
+
+let runtime_nested_run_gets_own_machine () =
+  let p = Lazy.force tiny_program in
+  let solo () = S.Runtime.run ~config:S.Config.stabilizer ~seed:6L p ~args:[ 1 ] in
+  let expect_outer = summary (solo ()) in
+  let inner = ref None in
+  let env_wrap env =
+    {
+      env with
+      Stz_vm.Interp.enter_function =
+        (fun ~fid ->
+          if !inner = None then inner := Some (solo ());
+          env.Stz_vm.Interp.enter_function ~fid);
+    }
+  in
+  let outer =
+    S.Runtime.run ~env_wrap ~config:S.Config.stabilizer ~seed:6L p ~args:[ 1 ]
+  in
+  check_bool "outer run undisturbed" true (summary outer = expect_outer);
+  check_bool "nested run matches a solo run" true
+    (Option.map summary !inner = Some expect_outer)
+
+(* ------------------------------------------------------------------ *)
+(* szc: one scale check for every command taking --scale              *)
+(* ------------------------------------------------------------------ *)
+
+let szc_rejects_bad_scale () =
+  let err = Filename.temp_file "szc-scale" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun scale ->
+          let what = Printf.sprintf "szc %s --scale=%s" cmd scale in
+          let code =
+            Sys.command
+              (Printf.sprintf "../bin/szc.exe %s bzip2 --scale=%s >/dev/null 2>%s"
+                 cmd (Filename.quote scale) (Filename.quote err))
+          in
+          check_int (what ^ " exits 1") 1 code;
+          Alcotest.(check string) (what ^ " names the scale")
+            "szc: scale must be a positive finite float\n"
+            (In_channel.with_open_bin err In_channel.input_all))
+        [ "nan"; "0"; "-1" ])
+    [ "run"; "compare"; "profile"; "top"; "explain"; "disasm" ]
+
 let () =
   Alcotest.run "stabilizer"
     [
@@ -491,7 +567,12 @@ let () =
           Alcotest.test_case "heap stats" `Quick runtime_heap_stats;
           Alcotest.test_case "virtual seconds" `Quick runtime_virtual_seconds;
           Alcotest.test_case "env bytes" `Quick runtime_env_bytes_changes_timing;
+          Alcotest.test_case "reused machine is fresh" `Quick
+            runtime_reused_machine_is_fresh;
+          Alcotest.test_case "nested run gets its own machine" `Quick
+            runtime_nested_run_gets_own_machine;
         ] );
+      ("cli", [ Alcotest.test_case "bad --scale exits 1" `Quick szc_rejects_bad_scale ]);
       ( "sample",
         [
           Alcotest.test_case "shapes" `Quick sample_shapes;
