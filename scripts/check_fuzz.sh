@@ -55,28 +55,36 @@ echo "fuzz ledger: byte-identical across worker counts"
 
 echo "== SIGKILL + --resume converges to the identical ledger"
 rm -rf "$outdir/kill"
-$SZC fuzz --seed 42 --count 200 --jobs 2 --out "$outdir/kill" --quiet \
+# 1000 cases: long enough (about a second on two cores) for the kill
+# below to land mid-campaign.
+$SZC fuzz --seed 42 --count 1000 --jobs 2 --out "$outdir/kill" --quiet \
   >/dev/null &
 pid=$!
-# Let a prefix land, then kill mid-campaign. If the campaign wins the
-# race and finishes, --resume over a complete ledger must still be a
-# byte-preserving no-op, so the cmp below stays meaningful.
+# Let a prefix land (the ledger grows past its meta record), then kill
+# mid-campaign. If the campaign wins the race and finishes, --resume
+# over a complete ledger must still be a byte-preserving no-op, so the
+# cmp below stays meaningful.
 i=0
 while [ ! -s "$outdir/kill/fuzz.log" ] && [ "$i" -lt 100 ]; do
   sleep 0.1
   i=$((i + 1))
 done
-sleep 0.3
+meta=$(wc -c <"$outdir/kill/fuzz.log")
+i=0
+while [ "$(wc -c <"$outdir/kill/fuzz.log")" -le "$meta" ] && [ "$i" -lt 500 ]; do
+  sleep 0.02
+  i=$((i + 1))
+done
 if kill -9 "$pid" 2>/dev/null; then
   echo "SIGKILLed pid $pid mid-campaign"
 else
   echo "WARNING: campaign finished before the kill landed (still checking resume)"
 fi
 wait "$pid" 2>/dev/null || true
-$SZC fuzz --seed 42 --count 200 --jobs 2 --out "$outdir/kill" --resume --quiet \
+$SZC fuzz --seed 42 --count 1000 --jobs 2 --out "$outdir/kill" --resume --quiet \
   >/dev/null
 rm -rf "$outdir/full"
-$SZC fuzz --seed 42 --count 200 --jobs 2 --out "$outdir/full" --quiet >/dev/null
+$SZC fuzz --seed 42 --count 1000 --jobs 2 --out "$outdir/full" --quiet >/dev/null
 cmp "$outdir/kill/fuzz.log" "$outdir/full/fuzz.log"
 echo "fuzz ledger: byte-identical after SIGKILL + --resume"
 
